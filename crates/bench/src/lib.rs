@@ -2,9 +2,8 @@
 //!
 //! Experiment harnesses regenerating every figure, equation and table
 //! of the paper. Each experiment is a pure function returning typed
-//! rows, shared between the printable binaries (`src/bin/*`), the
-//! criterion benches (`benches/*`) and the cross-crate integration
-//! tests — so the numbers in `EXPERIMENTS.md` are reproducible from
+//! rows, shared between the printable binaries (`src/bin/*`) and the
+//! cross-crate integration tests — so the numbers in `EXPERIMENTS.md` are reproducible from
 //! code paths that are themselves under test.
 //!
 //! | paper artifact | function | binary |

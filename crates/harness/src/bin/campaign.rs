@@ -22,8 +22,6 @@
 //!         [--tol-default EPS] [--quiet]
 //! cargo run -p harness --bin campaign -- gc --store PATH [--dry-run] [--quiet]
 //!         [--seed S] [--corpus-size N] [--max-cells N]
-//! cargo run -p harness --bin campaign -- bench [--quick] [--repeats R] [--out DIR]
-//!         [--check] [--quiet]
 //! cargo run -p harness --bin campaign -- trace FILE
 //! cargo run -p harness --bin campaign -- serve --store PATH [--addr HOST:PORT]
 //!         [--accept-pool N] [--threads N] [--checkpoint-every N]
@@ -52,7 +50,6 @@ use harness::exec::{run_campaign_with, Campaign, CellDomain, ExecConfig, ExecHoo
 use harness::gen::{GenOptions, DEFAULT_CORPUS_SIZE};
 use harness::json::Json;
 use harness::matrix::Filter;
-use harness::obs::bench;
 use harness::obs::{trace as obs_trace, Obs};
 use harness::registry::Registry;
 use harness::report;
@@ -106,10 +103,6 @@ struct Options {
     telemetry: bool,
     // observability
     trace: Option<PathBuf>,
-    // bench flags
-    quick: bool,
-    repeats: Option<usize>,
-    check: bool,
     // merge reporting
     steal_report: bool,
     // dist flags
@@ -145,7 +138,7 @@ impl Options {
 }
 
 const USAGE: &str = "\
-usage: campaign <list|run|report|gen|plan|shard|merge|diff|gc|convert|bench|trace|serve|top> [options]
+usage: campaign <list|run|report|gen|plan|shard|merge|diff|gc|convert|trace|serve|top> [options]
 
 options (run/report):
   --scenario ID      run only this scenario (repeatable; default: all)
@@ -212,16 +205,6 @@ observability (run/report/shard/merge):
   trace  FILE        validate a --trace file (torn final lines from a
                      crash are tolerated; anything else is an error)
                      and print its per-span event counts and totals
-  bench  [--quick] [--repeats R] [--out DIR] [--check]
-         run the engine micro-benchmarks (executor throughput per
-         worker tier, memoized re-scan rate, store save/load/merge per
-         cell tier, journal replay rate, served queries/sec per client
-         tier) R times each and write the schema-versioned
-         BENCH_exec.json / BENCH_store.json / BENCH_serve.json to DIR
-         (default .) — the committed perf trajectory; --quick trims
-         repeats and tiers for CI; --check reruns in quick mode and
-         gates against the committed files (exit 1 past the 3x guard
-         band or on schema drift)
 
 generated-program corpora:
   gen    [--seed S] [--corpus-size N] [--filter A=V]... [--disasm]
@@ -371,9 +354,6 @@ fn parse(mut args: std::env::Args) -> Result<Options, String> {
         once: false,
         telemetry: false,
         trace: None,
-        quick: false,
-        repeats: None,
-        check: false,
         steal_report: false,
         shards: None,
         index: None,
@@ -438,16 +418,6 @@ fn parse(mut args: std::env::Args) -> Result<Options, String> {
             "--to" => options.to = Some(value("--to")?),
             "--telemetry" => options.telemetry = true,
             "--trace" => options.trace = Some(PathBuf::from(value("--trace")?)),
-            "--quick" => options.quick = true,
-            "--check" => options.check = true,
-            "--repeats" => {
-                options.repeats = Some(
-                    number("--repeats", value("--repeats")?)
-                        .ok()
-                        .filter(|n| *n >= 1)
-                        .ok_or("--repeats needs an integer >= 1")? as usize,
-                )
-            }
             "--report" => options.steal_report = true,
             "--resume" => options.resume = true,
             "--checkpoint-every" => {
@@ -624,7 +594,6 @@ fn run(options: Options) -> Result<u8, String> {
             "--quiet",
             "--trace",
         ],
-        "bench" => &["--quick", "--repeats", "--out", "--check", "--quiet"],
         "trace" => &[],
         "diff" => &["--tol", "--tol-default", "--rel", "--sigmas", "--quiet"],
         "gc" => &[
@@ -684,7 +653,6 @@ fn run(options: Options) -> Result<u8, String> {
         "diff" => diff(&options),
         "gc" => gc(&options.registry(), &options),
         "convert" => convert(&options),
-        "bench" => bench_cmd(&options),
         "trace" => trace_cmd(&options),
         "serve" => serve_cmd(&options),
         "top" => top_cmd(&options),
@@ -1428,94 +1396,6 @@ fn diff(options: &Options) -> Result<u8, String> {
     })
 }
 
-/// `campaign bench`: runs the engine micro-benchmarks and either
-/// writes the schema-versioned `BENCH_exec.json` / `BENCH_store.json`
-/// / `BENCH_serve.json` documents (the committed perf trajectory) or,
-/// with `--check`, gates a quick rerun against the committed files.
-fn bench_cmd(options: &Options) -> Result<u8, String> {
-    let out_dir = options.out.clone().unwrap_or_else(|| PathBuf::from("."));
-    if !out_dir.is_dir() {
-        return Err(format!("no such directory: {}", out_dir.display()));
-    }
-    // --check always measures in quick mode: same bench names, CI-sized
-    // repeats; the committed full-mode files carry every name quick runs.
-    let quick = options.quick || options.check;
-    let config = if quick {
-        bench::BenchConfig::quick(options.repeats)
-    } else {
-        bench::BenchConfig::full(options.repeats)
-    };
-    // Fail the gate before minutes of measurement if there is nothing
-    // committed to gate against.
-    if options.check {
-        for kind in ["exec", "store", "serve"] {
-            let path = out_dir.join(bench::bench_file(kind));
-            if !path.exists() {
-                return Err(format!(
-                    "no committed {} — run `campaign bench` and commit the result",
-                    path.display()
-                ));
-            }
-        }
-    }
-    let quiet = options.quiet;
-    let mut progress = |name: &str| {
-        if !quiet {
-            let mut err = std::io::stderr().lock();
-            let _ = writeln!(err, "  bench: {name} x{}", config.repeats);
-            let _ = err.flush();
-        }
-    };
-    let families: Vec<(&str, Vec<bench::BenchResult>)> = vec![
-        (
-            "exec",
-            bench::run_exec_benches(&config, &mut progress).map_err(|e| e.to_string())?,
-        ),
-        (
-            "store",
-            bench::run_store_benches(&config, &mut progress).map_err(|e| e.to_string())?,
-        ),
-        (
-            "serve",
-            bench::run_serve_benches(&config, &mut progress).map_err(|e| e.to_string())?,
-        ),
-    ];
-    if options.check {
-        let mut failures = Vec::new();
-        for (kind, results) in &families {
-            let committed = Json::parse_file(&out_dir.join(bench::bench_file(kind)))?;
-            failures.extend(bench::check_against(kind, &committed, results));
-        }
-        if failures.is_empty() {
-            if !quiet {
-                println!(
-                    "bench gate: {} benches within the {}x guard band",
-                    families.iter().map(|(_, r)| r.len()).sum::<usize>(),
-                    bench::GUARD_BAND
-                );
-            }
-            return Ok(0);
-        }
-        for failure in &failures {
-            eprintln!("bench gate: {failure}");
-        }
-        return Ok(EXIT_DIFFERENCES);
-    }
-    for (kind, results) in &families {
-        let path = out_dir.join(bench::bench_file(kind));
-        let doc = bench::render(kind, &config, results);
-        std::fs::write(&path, doc.pretty())
-            .map_err(|e| format!("write {}: {e}", path.display()))?;
-        if !quiet {
-            println!("{}:", path.display());
-            for r in results {
-                println!("  {:<28} {:>14.3} {}", r.name, r.mean(), r.unit);
-            }
-        }
-    }
-    Ok(0)
-}
-
 /// Prints the remediation note for a stale (dead-owner) store lock a
 /// command decided to ignore — so the operator learns the lock exists
 /// and why it did not block.
@@ -1549,7 +1429,6 @@ fn serve_cmd(options: &Options) -> Result<u8, String> {
                 .unwrap_or(defaults.checkpoint_every),
             compact_journal_over: options.compact_journal_over,
             slowlog_over_us: options.slowlog_over_us.unwrap_or(defaults.slowlog_over_us),
-            metrics_noop: false,
             quiet: options.quiet,
         },
         obs.clone(),

@@ -53,17 +53,10 @@ pub fn merge_stores_observed(
     )
 }
 
-/// [`merge_stores`] consuming its inputs: the cells are *moved* into
-/// the fused store, so fusing N shard stores costs zero clones — the
-/// path the CLI merge and the binary-store shard workflow take.
-pub fn merge_stores_owned(
-    stores: Vec<ResultStore>,
-) -> Result<(ResultStore, MergeStats), ScenarioError> {
-    merge_stores_owned_observed(stores, None)
-}
-
-/// [`merge_stores_owned`] under a `merge` span when a recorder is
-/// given. Purely observational, like [`merge_stores_observed`].
+/// [`merge_stores_observed`] consuming its inputs: the cells are
+/// *moved* into the fused store, so fusing N shard stores costs zero
+/// clones — the path the CLI merge and the binary-store shard workflow
+/// take.
 pub fn merge_stores_owned_observed(
     stores: Vec<ResultStore>,
     obs: Option<&crate::obs::Obs>,

@@ -69,8 +69,8 @@ pub mod steal;
 
 pub use diff::{diff_stores, Admitted, DiffReport, NearMiss, Tolerances};
 pub use merge::{
-    fold_replicates, merge_stores, merge_stores_observed, merge_stores_owned,
-    merge_stores_owned_observed, steal_report, MergeStats, StealReport,
+    fold_replicates, merge_stores, merge_stores_observed, merge_stores_owned_observed,
+    steal_report, MergeStats, StealReport,
 };
 pub use plan::{
     calibrate_weights, calibrate_weights_wall, plan, plan_calibrated, plan_calibrated_with,

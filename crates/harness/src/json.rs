@@ -12,6 +12,11 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Far above any
+/// store, manifest, trace or request shape; it bounds the parser's
+/// recursion so a hostile line cannot overflow the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -171,11 +176,12 @@ impl Json {
         Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 
-    /// Parses a JSON document.
+    /// Parses a JSON document. Nesting deeper than [`MAX_DEPTH`] is an
+    /// error.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -235,12 +241,16 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value that sits inside `depth` enclosing arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_str(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -352,7 +362,7 @@ fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
         .map_err(|_| "bad \\u escape".to_string())
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -361,7 +371,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -374,7 +384,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -387,7 +397,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_str(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -471,6 +481,26 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // A spawned thread has the default (small) stack, where the
+        // unbounded recursion used to abort the whole process.
+        let err = std::thread::spawn(|| Json::parse(&"[".repeat(1_000_000)))
+            .join()
+            .expect("parser must not overflow the stack")
+            .unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).unwrap_err().contains("nesting"));
     }
 
     #[test]

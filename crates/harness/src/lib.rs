@@ -43,9 +43,9 @@
 //!   lifecycle (plan, decode, memo lookup, journal append/fsync,
 //!   checkpoint, steal-lease claim, merge), exported as a Chrome
 //!   trace-event file (`--trace FILE`, loadable in Perfetto) and as
-//!   the aggregated summary behind `campaign bench`'s committed
-//!   `BENCH_exec.json` / `BENCH_store.json` perf trajectory. Attaching
-//!   an [`obs::Obs`] never changes store bytes.
+//!   in-memory span and counter totals (the per-layer rows of the
+//!   `perfbench` benchmark read them). Attaching an [`obs::Obs`] never
+//!   changes store bytes.
 //! * [`telemetry`] — the wall-clock sidecar: an append-only,
 //!   fsync-batched event log beside the store (`store.json.telemetry`)
 //!   recording per-cell measured durations and last-hit access

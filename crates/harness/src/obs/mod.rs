@@ -25,7 +25,7 @@
 //!
 //! Everything here is *observational*: attaching an [`Obs`] (with or
 //! without a trace file) must never change the bytes of a result
-//! store. Time lives in the trace and in bench summaries, never in the
+//! store. Time lives in the trace and in span totals, never in the
 //! store — the same invariant the telemetry sidecar keeps.
 //!
 //! All durations come from one process-wide monotonic epoch
@@ -44,7 +44,6 @@
 //! it stays on even under benchmark load, and like everything else in
 //! `obs` it is purely observational: it never changes store bytes.
 
-pub mod bench;
 pub mod metrics;
 pub mod trace;
 
@@ -54,13 +53,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::json::Json;
 use crate::scenario::ScenarioError;
 use crate::store::AppendLog;
-
-/// Schema version of the aggregated summary ([`Obs::summary`]) and the
-/// `BENCH_*.json` files built on top of it.
-pub const OBS_SCHEMA: u32 = 1;
 
 /// Trace events fsync'd per batch (same order of magnitude as the
 /// journal's default; traces are advisory, so batching errs large).
@@ -225,43 +219,6 @@ impl Obs {
         self.inner.lock().unwrap().spans.get(name).copied()
     }
 
-    /// The aggregated summary: per-span count/total/mean/min/max (in
-    /// microseconds) plus every counter, deterministically ordered.
-    /// This is the JSON the `campaign bench` micro-campaigns consume.
-    pub fn summary(&self) -> Json {
-        let state = self.inner.lock().unwrap();
-        let spans = state
-            .spans
-            .iter()
-            .map(|(name, s)| {
-                let us = |ns: u64| ns as f64 / 1000.0;
-                (
-                    name.clone(),
-                    Json::Obj(vec![
-                        ("count".into(), Json::Num(s.count as f64)),
-                        ("total_us".into(), Json::Num(us(s.total_ns))),
-                        (
-                            "mean_us".into(),
-                            Json::Num(us(s.total_ns) / (s.count.max(1) as f64)),
-                        ),
-                        ("min_us".into(), Json::Num(us(s.min_ns))),
-                        ("max_us".into(), Json::Num(us(s.max_ns))),
-                    ]),
-                )
-            })
-            .collect();
-        let counters = state
-            .counters
-            .iter()
-            .map(|(name, v)| (name.clone(), Json::Num(*v as f64)))
-            .collect();
-        Json::Obj(vec![
-            ("schema".into(), Json::Num(OBS_SCHEMA as f64)),
-            ("spans".into(), Json::Obj(spans)),
-            ("counters".into(), Json::Obj(counters)),
-        ])
-    }
-
     /// Finalizes the trace file, if one is attached: final fsync, then
     /// the first sticky I/O error of the log's lifetime, if any.
     /// Returns the trace path and event count when a trace was written.
@@ -337,20 +294,6 @@ mod tests {
             let _g = obs.span("plan", "exec");
         }
         assert_eq!(obs.span_stat("plan").unwrap().count, 1);
-    }
-
-    #[test]
-    fn summary_shape() {
-        let obs = Obs::new();
-        obs.record_span("merge", "dist", 0, 2_000);
-        obs.count("cells/executed", 7);
-        let doc = obs.summary();
-        assert_eq!(doc.get("schema").and_then(Json::as_f64), Some(1.0));
-        let merge = doc.get("spans").and_then(|s| s.get("merge")).unwrap();
-        assert_eq!(merge.get("count").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(merge.get("mean_us").and_then(Json::as_f64), Some(2.0));
-        let c = doc.get("counters").and_then(|c| c.get("cells/executed"));
-        assert_eq!(c.and_then(Json::as_f64), Some(7.0));
     }
 
     #[test]

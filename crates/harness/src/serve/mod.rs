@@ -68,7 +68,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError, RwLock};
 use std::time::Duration;
 
 /// Every protocol op, in dispatch order. Each gets its own latency
@@ -120,11 +120,6 @@ pub struct ServeOptions {
     /// Requests slower than this land in the slowlog ring
     /// (`--slowlog-over-us`).
     pub slowlog_over_us: u64,
-    /// Discard all metric recordings (the registry still answers, all
-    /// zeros). Exists only so `campaign bench` can measure the
-    /// recording overhead against a no-op sink; operational daemons
-    /// keep metrics on.
-    pub metrics_noop: bool,
     /// Suppress per-job stderr notes.
     pub quiet: bool,
 }
@@ -138,7 +133,6 @@ impl Default for ServeOptions {
             checkpoint_every: 16,
             compact_journal_over: None,
             slowlog_over_us: 10_000,
-            metrics_noop: false,
             quiet: false,
         }
     }
@@ -257,10 +251,9 @@ struct SlowEntry {
 /// The daemon's steady-state instruments: one latency histogram and
 /// request counter per protocol op (plus an `other` slot), sliding
 /// request/query rate windows, and gauges refreshed at scrape time.
-/// Recording is wait-free; `noop` turns it into a benchmark baseline.
+/// Recording is wait-free.
 struct ServeMetrics {
     registry: Metrics,
-    noop: bool,
     op_latency: Vec<Arc<Histogram>>,
     op_requests: Vec<Arc<Counter>>,
     request_rate: Arc<RateWindow>,
@@ -268,7 +261,7 @@ struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    fn new(noop: bool) -> ServeMetrics {
+    fn new() -> ServeMetrics {
         let registry = Metrics::new();
         let mut op_latency = Vec::with_capacity(SERVE_OPS.len() + 1);
         let mut op_requests = Vec::with_capacity(SERVE_OPS.len() + 1);
@@ -283,7 +276,6 @@ impl ServeMetrics {
         let query_rate = registry.rate_window("harness_serve_query_rate");
         ServeMetrics {
             registry,
-            noop,
             op_latency,
             op_requests,
             request_rate,
@@ -299,9 +291,6 @@ impl ServeMetrics {
     /// Record one finished request: latency into the op's histogram,
     /// one tick into the rate windows.
     fn record_request(&self, slot: usize, dur_ns: u64, now_ns: u64) {
-        if self.noop {
-            return;
-        }
         self.op_latency[slot].record_ns(dur_ns);
         self.op_requests[slot].inc();
         self.request_rate.record_at(now_ns);
@@ -404,7 +393,7 @@ impl Server {
             .local_addr()
             .map_err(|e| ScenarioError::Store(format!("local addr: {e}")))?;
         let pool = options.accept_pool.max(1);
-        let metrics = ServeMetrics::new(options.metrics_noop);
+        let metrics = ServeMetrics::new();
         let inner = Arc::new(ServerInner {
             store_path: store_path.to_path_buf(),
             options,
@@ -509,7 +498,7 @@ impl ServerHandle {
             store_lock.release()?;
         }
         let inner = &self.inner;
-        let jobs = inner.jobs.lock().expect("job state lock poisoned");
+        let jobs = unpoison(inner.jobs.lock());
         Ok(ServeSummary {
             cells,
             connections: inner.connections.load(Ordering::SeqCst),
@@ -529,12 +518,12 @@ impl ServerHandle {
 
 impl ServerInner {
     fn snapshot(&self) -> Arc<StoreIndex> {
-        self.index.read().expect("index lock poisoned").clone()
+        unpoison(self.index.read()).clone()
     }
 
     fn publish(&self, store: &ResultStore) {
         let index = Arc::new(StoreIndex::build(store));
-        *self.index.write().expect("index lock poisoned") = index;
+        *unpoison(self.index.write()) = index;
     }
 
     fn uptime_ms(&self) -> u64 {
@@ -559,12 +548,21 @@ impl ServerInner {
             at_ms: crate::telemetry::now_ms(),
             payload: truncated,
         };
-        let mut ring = self.slowlog.lock().expect("slowlog lock poisoned");
+        let mut ring = unpoison(self.slowlog.lock());
         if ring.len() == SLOWLOG_CAP {
             ring.pop_front();
         }
         ring.push_back(entry);
     }
+}
+
+/// Takes a lock's guard even when the lock is poisoned. Every critical
+/// section on these locks (counter bumps, queue and ring pushes, record
+/// inserts, `Arc` swaps, journal appends) leaves the state valid at each
+/// step, so a handler that panics while holding one leaves it usable and
+/// later requests keep being served instead of panicking in turn.
+fn unpoison<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Flips the daemon into shutdown: drop queued jobs, cancel the
@@ -573,7 +571,7 @@ impl ServerInner {
 /// nothing further).
 fn initiate_shutdown(inner: &Arc<ServerInner>) -> u64 {
     let dropped = {
-        let mut jobs = inner.jobs.lock().expect("job state lock poisoned");
+        let mut jobs = unpoison(inner.jobs.lock());
         let dropped = jobs.queued.len() as u64;
         jobs.dropped += dropped;
         let ids: Vec<u64> = jobs.queued.drain(..).collect();
@@ -600,9 +598,9 @@ fn accept_loop(inner: &Arc<ServerInner>, listener: TcpListener) {
         let _accept_span = inner.obs.as_ref().map(|o| o.span("serve/accept", "serve"));
         // Bounded pool: block further accepts until a slot frees.
         {
-            let mut free = inner.pool.lock().expect("pool lock poisoned");
+            let mut free = unpoison(inner.pool.lock());
             while *free == 0 {
-                free = inner.pool_signal.wait(free).expect("pool lock poisoned");
+                free = unpoison(inner.pool_signal.wait(free));
             }
             *free -= 1;
         }
@@ -612,7 +610,7 @@ fn accept_loop(inner: &Arc<ServerInner>, listener: TcpListener) {
         std::thread::spawn(move || {
             serve_connection(&inner, stream);
             inner.active_connections.fetch_sub(1, Ordering::SeqCst);
-            let mut free = inner.pool.lock().expect("pool lock poisoned");
+            let mut free = unpoison(inner.pool.lock());
             *free += 1;
             inner.pool_signal.notify_one();
         });
@@ -738,7 +736,7 @@ fn handle_request(inner: &Arc<ServerInner>, doc: &Json) -> (Json, bool) {
         "slowlog" => (slowlog_response(inner), false),
         "shutdown" => {
             let dropped = initiate_shutdown(inner);
-            let failed = inner.jobs.lock().expect("job state lock poisoned").failed;
+            let failed = unpoison(inner.jobs.lock()).failed;
             (
                 ok_json(vec![
                     ("shutting_down".to_string(), Json::Bool(true)),
@@ -770,7 +768,7 @@ fn metrics_response(inner: &ServerInner) -> Json {
         .gauge("harness_serve_active_connections")
         .set(inner.active_connections.load(Ordering::SeqCst) as u64);
     {
-        let jobs = inner.jobs.lock().expect("job state lock poisoned");
+        let jobs = unpoison(inner.jobs.lock());
         registry
             .gauge("harness_serve_jobs_queued")
             .set(jobs.queued.len() as u64);
@@ -792,7 +790,7 @@ fn metrics_response(inner: &ServerInner) -> Json {
 
 /// `jobs`: every retained job record — status, spec, progress, error.
 fn jobs_response(inner: &ServerInner) -> Json {
-    let jobs = inner.jobs.lock().expect("job state lock poisoned");
+    let jobs = unpoison(inner.jobs.lock());
     let list = jobs
         .records
         .values()
@@ -834,7 +832,7 @@ fn jobs_response(inner: &ServerInner) -> Json {
 /// `slowlog`: the ring of requests slower than the threshold, oldest
 /// first.
 fn slowlog_response(inner: &ServerInner) -> Json {
-    let ring = inner.slowlog.lock().expect("slowlog lock poisoned");
+    let ring = unpoison(inner.slowlog.lock());
     let entries = ring
         .iter()
         .map(|entry| {
@@ -876,7 +874,7 @@ fn stats_response(inner: &ServerInner) -> Json {
         .metrics
         .query_rate
         .rate_over(monotonic_ns(), window_secs);
-    let jobs = inner.jobs.lock().expect("job state lock poisoned");
+    let jobs = unpoison(inner.jobs.lock());
     let progress = jobs
         .running
         .and_then(|id| jobs.records.get(&id))
@@ -1269,7 +1267,7 @@ fn submit_response(inner: &ServerInner, doc: &Json) -> Json {
         Some(_) => return error_json("`keep_replicates` must be a boolean"),
     };
     inner.submits.fetch_add(1, Ordering::SeqCst);
-    let mut jobs = inner.jobs.lock().expect("job state lock poisoned");
+    let mut jobs = unpoison(inner.jobs.lock());
     jobs.next_id += 1;
     let id = jobs.next_id;
     jobs.records.insert(
@@ -1304,7 +1302,7 @@ fn submit_response(inner: &ServerInner, doc: &Json) -> Json {
 fn scheduler_loop(inner: &Arc<ServerInner>) {
     loop {
         let job = {
-            let mut jobs = inner.jobs.lock().expect("job state lock poisoned");
+            let mut jobs = unpoison(inner.jobs.lock());
             loop {
                 if let Some(id) = jobs.queued.pop_front() {
                     jobs.running = Some(id);
@@ -1319,15 +1317,12 @@ fn scheduler_loop(inner: &Arc<ServerInner>) {
                 if inner.shutdown.load(Ordering::SeqCst) {
                     break None;
                 }
-                jobs = inner
-                    .jobs_signal
-                    .wait(jobs)
-                    .expect("job state lock poisoned");
+                jobs = unpoison(inner.jobs_signal.wait(jobs));
             }
         };
         let Some((spec, progress)) = job else { break };
         let outcome = run_job(inner, &spec, &progress);
-        let mut jobs = inner.jobs.lock().expect("job state lock poisoned");
+        let mut jobs = unpoison(inner.jobs.lock());
         jobs.running = None;
         match outcome {
             Ok(true) => {
@@ -1383,10 +1378,7 @@ fn run_job(
     }
     let journal = Mutex::new(journal);
     let journal_sink = |fp: &str, cell: &StoredCell| {
-        journal
-            .lock()
-            .expect("journal lock poisoned")
-            .append(fp, cell);
+        unpoison(journal.lock()).append(fp, cell);
     };
     // Stream completion (fresh + memoized) into the job's progress
     // cells so `stats`/`jobs`/`top` can watch the run live.
@@ -1418,10 +1410,7 @@ fn run_job(
             ..ExecHooks::default()
         },
     );
-    journal
-        .into_inner()
-        .expect("journal lock poisoned")
-        .finish()?;
+    unpoison(journal.into_inner()).finish()?;
     let completed = match outcome {
         Ok(_) => true,
         Err(ScenarioError::Cancelled) => false,
@@ -1838,6 +1827,35 @@ mod tests {
         handle.shutdown();
         handle.wait().unwrap();
         assert_eq!(lock::refuse_if_live(&store_path, "gc").unwrap(), None);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn poisoned_job_lock_keeps_serving() {
+        let dir = scratch("poison");
+        let store_path = dir.join("store.json");
+        let handle = Server::bind(
+            &store_path,
+            ServeOptions {
+                quiet: true,
+                ..ServeOptions::default()
+            },
+            None,
+        )
+        .unwrap();
+        let inner = handle.inner.clone();
+        std::thread::spawn(move || {
+            let _jobs = inner.jobs.lock().unwrap();
+            panic!("handler panics while holding the job history");
+        })
+        .join()
+        .unwrap_err();
+        assert!(handle.inner.jobs.is_poisoned());
+        let mut client = Client::connect(handle.addr());
+        assert_ok(&client.request("{\"op\":\"stats\"}"));
+        assert_ok(&client.request("{\"op\":\"jobs\"}"));
+        assert_ok(&client.request("{\"op\":\"shutdown\"}"));
+        handle.wait().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 }

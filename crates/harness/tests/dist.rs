@@ -120,7 +120,7 @@ fn shards_are_disjoint_covering_and_stable() {
 
 #[test]
 fn golden_shard_equivalence() {
-    // The acceptance criterion: for two scenarios and N in {2, 3},
+    // The acceptance check: for two scenarios and N in {2, 3},
     // shards executed in isolation merge into a store byte-identical
     // to the single-process store, and the differ agrees (no deltas).
     let registry = Registry::builtin();
@@ -461,7 +461,7 @@ fn cli_merge_rejects_conflicting_shards() {
 
 #[test]
 fn cli_replicated_steal_campaign_merges_byte_identical() {
-    // The replicate acceptance criterion as real OS processes: a
+    // The replicate acceptance check as real OS processes: a
     // 3-shard stealing campaign over `--replicates 16` merges (with
     // the merge-side fold) to the byte-identical store of a
     // single-process `run --replicates 16`.

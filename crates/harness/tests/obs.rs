@@ -11,9 +11,6 @@
 //! * **Crash tolerance** — a torn final line (the crash shape of the
 //!   shared append log) is tolerated by the validator; corruption
 //!   anywhere else is an error naming the line.
-//! * **Bench gate** — `campaign bench --quick` writes schema-versioned
-//!   `BENCH_*.json` files with repeat-aggregated samples, and
-//!   `--check` passes against files it just produced.
 //! * **Progress** — `--progress` heartbeats go to stderr, never
 //!   stdout.
 
@@ -264,92 +261,4 @@ fn progress_heartbeats_go_to_stderr_not_stdout() {
         "heartbeats leaked to stdout: {stdout}"
     );
     assert!(stderr.contains("cells executed"), "{stderr}");
-}
-
-#[test]
-fn bench_quick_writes_schema_versioned_files_and_check_passes() {
-    let dir = TempDir::new("bench");
-    let out_dir = dir.0.to_str().unwrap();
-    run_ok(&[
-        "bench",
-        "--quick",
-        "--repeats",
-        "1",
-        "--out",
-        out_dir,
-        "--quiet",
-    ]);
-    for kind in ["exec", "store", "serve"] {
-        let path = dir.path(&format!("BENCH_{kind}.json"));
-        let doc = harness::json::Json::parse_file(&path).expect("committed bench file must parse");
-        assert_eq!(
-            doc.get("schema").and_then(harness::json::Json::as_f64),
-            Some(harness::obs::bench::BENCH_SCHEMA as f64)
-        );
-        let benches = doc.get("benches").expect("benches object");
-        let harness::json::Json::Obj(members) = benches else {
-            panic!("benches must be an object")
-        };
-        assert!(!members.is_empty(), "BENCH_{kind}.json must not be empty");
-        for (name, bench) in members {
-            for field in ["mean", "min", "max", "samples"] {
-                assert!(
-                    bench
-                        .get(field)
-                        .and_then(harness::json::Json::as_f64)
-                        .is_some(),
-                    "{name} missing {field}"
-                );
-            }
-        }
-    }
-    // The gate accepts the files it just produced.
-    let out = campaign(&[
-        "bench",
-        "--check",
-        "--repeats",
-        "1",
-        "--out",
-        out_dir,
-        "--quiet",
-    ]);
-    assert!(
-        out.status.success(),
-        "--check against a fresh quick run must pass\nstderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
-
-#[test]
-fn bench_check_fails_on_schema_drift() {
-    let dir = TempDir::new("bench-drift");
-    let out_dir = dir.0.to_str().unwrap();
-    run_ok(&[
-        "bench",
-        "--quick",
-        "--repeats",
-        "1",
-        "--out",
-        out_dir,
-        "--quiet",
-    ]);
-    // Simulate a stale committed file from an older schema.
-    let path = dir.path("BENCH_exec.json");
-    let text = std::fs::read_to_string(&path).unwrap();
-    std::fs::write(&path, text.replacen("\"schema\": 1", "\"schema\": 0", 1)).unwrap();
-    let out = campaign(&[
-        "bench",
-        "--check",
-        "--repeats",
-        "1",
-        "--out",
-        out_dir,
-        "--quiet",
-    ]);
-    assert_eq!(out.status.code(), Some(1), "schema drift must gate");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("schema"),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
 }

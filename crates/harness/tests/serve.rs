@@ -5,8 +5,8 @@
 //! The invariants pinned here:
 //!
 //! * **Protocol** — every endpoint (ping, stats, query, query_range,
-//!   report, submit, shutdown) answers over a real socket; junk and
-//!   torn requests never take the daemon down.
+//!   report, submit, shutdown) answers over a real socket; junk, torn
+//!   and deeply nested requests never take the daemon down.
 //! * **Byte identity** — the store a daemon checkpoints after serving
 //!   a submitted campaign is byte-identical to the store a batch
 //!   `campaign run` of the same campaign writes.
@@ -315,6 +315,21 @@ fn torn_requests_and_eof_never_take_the_daemon_down() {
     let hit = client
         .request("{\"op\":\"query\",\"scenario\":\"pipeline-domino\",\"params\":{\"n\":\"16\"}}");
     assert!(hit.contains("\"ok\":true"), "{hit}");
+    daemon.shutdown();
+}
+
+#[test]
+fn deeply_nested_request_is_refused_and_the_daemon_keeps_serving() {
+    let dir = TempDir::new("nested");
+    let store = dir.path("store.json");
+    let daemon = Daemon::spawn(&dir, &store, &[]);
+    // Parsed on a connection thread's default-sized stack, where an
+    // unbounded recursive descent used to abort the whole process.
+    let nested = daemon.connect().request(&"[".repeat(100_000));
+    assert!(nested.contains("\"ok\":false"), "{nested}");
+    assert!(nested.contains("nesting deeper than"), "{nested}");
+    let pong = daemon.connect().request("{\"op\":\"ping\"}");
+    assert!(pong.contains("\"pong\":true"), "{pong}");
     daemon.shutdown();
 }
 
