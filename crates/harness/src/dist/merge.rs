@@ -10,7 +10,7 @@
 //! [`verify_coverage`] checks a fused store against the manifest's
 //! planned cell set, catching lost shards or stray extra cells.
 
-use crate::dist::plan::{check_drift_observing, visit_planned_cells, Manifest, PlannedCell};
+use crate::dist::plan::{check_drift_observing, Manifest};
 use crate::dist::steal::{chunk_map, Chunk, LeaseDir};
 use crate::registry::Registry;
 use crate::scenario::ScenarioError;
@@ -169,85 +169,44 @@ pub fn fold_replicates(
         return Ok(0);
     }
     let reps = manifest.replicates as usize;
-    let scenarios = crate::exec::select_scenarios(registry, &manifest.scenarios)?;
-    let specs: Vec<_> = scenarios.iter().map(|s| s.spec()).collect();
+    let space = manifest.space(registry)?;
     // One streaming pass over the planned cells: the replicate axis
     // varies fastest, so each base cell's N replicates arrive
     // consecutively in replicate-index order — the order the fold must
     // consume for byte equivalence with the single-process run. The
     // store is only read during the pass; fold insertions and raw
     // removals are staged and applied afterwards.
-    let mut group: Vec<PlannedCell> = Vec::with_capacity(reps);
+    let mut group = Vec::with_capacity(reps);
     let mut folds: Vec<(String, StoredCell)> = Vec::new();
     let mut raw_fps: Vec<String> = Vec::new();
-    {
-        let store: &ResultStore = store;
-        visit_planned_cells(registry, manifest, &mut |cell| {
-            group.push(cell);
-            if group.len() < reps {
-                return Ok(());
-            }
-            let spec = specs
-                .iter()
-                .find(|s| s.id == group[0].scenario)
-                .expect("planned cell of an unselected scenario");
-            let results = group
-                .iter()
-                .map(|c| {
-                    store
-                        .get_by_fingerprint(&c.fingerprint)
-                        .map(|s| &s.result)
-                        .ok_or_else(|| {
-                            ScenarioError::Store(format!(
-                                "replicate fold: merged store is missing replicate cell {} \
-                                 ({} {})",
-                                c.fingerprint,
-                                c.scenario,
-                                c.params.key()
-                            ))
-                        })
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let fold = crate::expect::fold_results(&results)?;
-            let (base_params, _) = crate::matrix::split_rep(&group[0].params).ok_or_else(|| {
-                ScenarioError::Store(format!(
-                    "replicate fold: planned cell `{}` lacks a {} coordinate",
-                    group[0].params.key(),
-                    crate::matrix::REP_AXIS
-                ))
-            })?;
-            let base_seed = crate::exec::cell_seed(manifest.seed, spec.id, &base_params);
-            let base_fp = crate::store::fingerprint_with_content(
-                spec.id,
-                spec.version,
-                spec.content_digest.as_deref(),
-                &base_params,
-                base_seed,
-            );
-            folds.push((
-                base_fp,
-                StoredCell {
-                    scenario: spec.id.to_string(),
-                    version: spec.version,
-                    params_key: base_params.key(),
-                    seed: base_seed,
-                    fold: true,
-                    result: fold,
-                },
-            ));
-            if !keep_replicates {
-                raw_fps.extend(group.drain(..).map(|c| c.fingerprint));
-            } else {
-                group.clear();
-            }
-            Ok(())
-        })?;
-    }
-    if !group.is_empty() {
-        return Err(ScenarioError::Store(format!(
-            "replicate fold: {} planned cells left over — not a multiple of {reps} replicates",
-            group.len()
-        )));
+    for cell in space.cells() {
+        group.push(cell);
+        if group.len() < reps {
+            continue;
+        }
+        let results = group
+            .iter()
+            .map(|c| {
+                store
+                    .get_by_fingerprint(&c.fingerprint)
+                    .map(|s| &s.result)
+                    .ok_or_else(|| {
+                        ScenarioError::Store(format!(
+                            "replicate fold: merged store is missing replicate cell {} ({} {})",
+                            c.fingerprint,
+                            space.specs()[c.scenario].id,
+                            c.params.key()
+                        ))
+                    })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let (base, fold) = space.fold(group[0].global, &results)?;
+        folds.push((base.fingerprint, fold));
+        if keep_replicates {
+            group.clear();
+        } else {
+            raw_fps.extend(group.drain(..).map(|c| c.fingerprint));
+        }
     }
     for fp in &raw_fps {
         store.remove(fp);

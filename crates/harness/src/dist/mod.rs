@@ -1,34 +1,41 @@
 //! # dist — sharded multi-process campaign execution
 //!
 //! Scales the campaign engine past a single process by turning a
-//! campaign into a *shardable, mergeable, diffable* artifact:
+//! campaign into a *shardable, mergeable, diffable* artifact. Every
+//! entry point addresses cells through the campaign's
+//! [`CampaignSpace`](crate::space::CampaignSpace) (see
+//! [`Manifest::space`]), the same index space the executor runs:
 //!
-//! * [`plan`] — deterministically partitions the expanded scenario
-//!   matrix into N disjoint shards by cell fingerprint and captures the
-//!   campaign in a small [`Manifest`]; any worker holding the manifest
-//!   computes the identical partition, so there is no coordinator.
-//! * [`run_shard`] — the worker mode: re-expands the manifest, checks
-//!   for registry drift, and runs exactly shard `i/N` (thread-fanned
+//! * [`plan()`] / [`plan_calibrated_with`] — deterministically partition
+//!   the campaign into N disjoint shards by cell fingerprint and
+//!   capture it in a small [`Manifest`] (cell counts, fingerprint
+//!   digests, cost weights, replicates); any worker holding the
+//!   manifest computes the identical partition, so there is no
+//!   coordinator.
+//! * [`run_shard`] / [`run_shard_with`] — the worker mode: checks for
+//!   registry drift, then runs exactly shard `i/N` (thread-fanned
 //!   inside the process) against its own [`ResultStore`].
-//! * [`merge`] — fuses shard stores into one canonical store,
-//!   aborting on fingerprint collisions with conflicting results (a
-//!   determinism violation) and optionally verifying the fused store
-//!   covers exactly the planned cell set ([`merge::verify_coverage`]).
-//! * [`diff`] — compares two stores cell-by-cell under per-metric
-//!   tolerances; the store-backed regression gate ("did a simulator
-//!   change move any metric?").
-//! * [`steal`] — dynamic work stealing: the static partition becomes
-//!   an *initial lease* over cost-weighted chunks of the lazy cell
-//!   space, and idle shards steal unleased chunks through atomic
-//!   lease files in a shared campaign directory
-//!   ([`steal::run_shard_stealing`]).
+//! * [`run_shard_stealing`] — dynamic work stealing: the static
+//!   partition becomes an *initial lease* over cost-weighted chunks of
+//!   the index space ([`chunk_map`]), and idle shards steal unleased
+//!   chunks through atomic lease files ([`LeaseDir`]).
+//! * [`merge_stores`] / [`merge_stores_owned_observed`] — fuse shard
+//!   stores into one canonical store, aborting on fingerprint
+//!   collisions with conflicting results (a determinism violation);
+//!   [`merge::verify_coverage`] checks the fused store holds exactly
+//!   the planned cells, and [`fold_replicates`] folds a replicated
+//!   campaign's raw cells into distribution cells.
+//! * [`diff_stores`] — compares two stores cell-by-cell under
+//!   per-metric tolerances; the store-backed regression gate ("did a
+//!   simulator change move any metric?").
 //!
 //! The invariant the whole layer rests on, inherited from the
 //! executor's per-cell seeding: *shard runs merge to the byte-identical
-//! store a single-process run would have written.*
+//! store a single-process run would have written* — replicated
+//! campaigns included.
 //!
 //! ```
-//! use harness::dist::{self, diff::{diff_stores, Tolerances}, merge::merge_stores};
+//! use harness::dist::{self, diff_stores, Tolerances};
 //! use harness::exec::{run_campaign, ExecConfig};
 //! use harness::matrix::Filter;
 //! use harness::registry::Registry;
@@ -37,16 +44,19 @@
 //! let registry = Registry::builtin();
 //! let select = vec!["pipeline-domino".to_string()];
 //!
-//! // Plan 2 shards, run each against its own store, merge.
-//! let manifest = dist::plan(&registry, &select, &[], 42, 2).unwrap();
+//! // Plan 2 shards of a 3-replicate campaign, run each shard against
+//! // its own store, merge, check coverage, fold the replicates.
+//! let (manifest, _, _) =
+//!     dist::plan_calibrated_with(&registry, &select, &[], 42, 2, 3, None, None).unwrap();
 //! let mut shard_stores = Vec::new();
 //! for index in 0..manifest.shards {
 //!     let mut store = ResultStore::new();
 //!     dist::run_shard(&registry, &manifest, index, 2, &mut store).unwrap();
 //!     shard_stores.push(store);
 //! }
-//! let (fused, _stats) = merge_stores(&shard_stores).unwrap();
+//! let (mut fused, _stats) = dist::merge_stores_owned_observed(shard_stores, None).unwrap();
 //! dist::merge::verify_coverage(&registry, &manifest, &fused).unwrap();
+//! assert_eq!(dist::fold_replicates(&registry, &manifest, &mut fused, false).unwrap(), 4);
 //!
 //! // The fused store is byte-identical to a single-process run's.
 //! let mut single = ResultStore::new();
@@ -54,7 +64,7 @@
 //!     &registry,
 //!     &select,
 //!     &Filter::all(),
-//!     &ExecConfig { threads: 1, seed: 42, ..ExecConfig::default() },
+//!     &ExecConfig { threads: 1, seed: 42, replicates: 3, ..ExecConfig::default() },
 //!     &mut single,
 //! )
 //! .unwrap();
@@ -74,8 +84,8 @@ pub use merge::{
 };
 pub use plan::{
     calibrate_weights, calibrate_weights_wall, plan, plan_calibrated, plan_calibrated_with,
-    plan_with_cells, planned_cells, visit_planned_cells, CorpusPlan, Manifest, PlannedCell,
-    ScenarioPlan, WeightSource,
+    planned_cells, visit_planned_cells, CorpusPlan, Manifest, PlannedCell, ScenarioPlan,
+    WeightSource,
 };
 pub use steal::{chunk_map, run_shard_stealing, Chunk, LeaseDir, StealStats};
 

@@ -13,19 +13,20 @@
 //! mispartitioned merge.
 //!
 //! Planning is *streaming*: cells are decoded one at a time from the
-//! lazy [`CellIter`](crate::matrix::CellIter) and folded into counts
-//! and digests — a plan over a multi-million-cell gen sweep never
-//! materializes a cell list. The manifest also carries per-scenario
-//! *cost weights* (optionally calibrated from a committed baseline
-//! store) which the work-stealing layer uses to size its initial
-//! leases; weights are advisory and never affect results.
+//! campaign's [`CampaignSpace`] and folded into counts and digests — a
+//! plan over a multi-million-cell gen sweep never materializes a cell
+//! list. The manifest also carries per-scenario *cost weights*
+//! (optionally calibrated from a committed baseline store) which the
+//! work-stealing layer uses to size its initial leases; weights are
+//! advisory and never affect results.
 
-use crate::exec::{cell_seed, select_scenarios, shard_of, validate_filter};
+use crate::exec::shard_of;
 use crate::json::Json;
-use crate::matrix::{CellIter, Filter};
+use crate::matrix::Filter;
 use crate::registry::Registry;
-use crate::scenario::{Params, ScenarioError, ScenarioSpec};
-use crate::store::{fingerprint_with_content, ResultStore};
+use crate::scenario::{Params, ScenarioError};
+use crate::space::{CampaignSpace, Cell};
+use crate::store::ResultStore;
 use std::path::Path;
 
 /// Bump when the manifest layout or the shard assignment rule changes;
@@ -134,16 +135,6 @@ impl Default for FingerprintDigest {
     }
 }
 
-/// Hashes the planned fingerprints (order-sensitive) into the
-/// manifest's drift digest.
-pub fn digest_of(cells: &[PlannedCell]) -> String {
-    let mut digest = FingerprintDigest::new();
-    for cell in cells {
-        digest.update(&cell.fingerprint);
-    }
-    digest.finish()
-}
-
 /// One cell of the planned partition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannedCell {
@@ -176,6 +167,18 @@ impl Manifest {
             .iter()
             .find(|s| s.id == scenario_id)
             .map_or(1.0, |s| s.weight)
+    }
+
+    /// The campaign index space this manifest plans, resolved against
+    /// `registry`.
+    pub fn space<'r>(&self, registry: &'r Registry) -> Result<CampaignSpace<'r>, ScenarioError> {
+        CampaignSpace::new(
+            registry,
+            &self.scenarios,
+            &self.parsed_filter()?,
+            self.seed,
+            self.replicates,
+        )
     }
 
     /// Serializes deterministically (equal manifests are byte-equal).
@@ -343,7 +346,8 @@ impl Manifest {
 
     /// Loads a manifest from disk.
     pub fn load(path: &Path) -> Result<Manifest, ScenarioError> {
-        let doc = Json::parse_file(path).map_err(ScenarioError::Dist)?;
+        let doc =
+            Json::parse_file(path).map_err(|e| ScenarioError::Dist(format!("manifest: {e}")))?;
         Manifest::from_json(&doc)
     }
 
@@ -353,99 +357,68 @@ impl Manifest {
     }
 }
 
-/// Streams every planned cell of the resolved specs in the executor's
-/// deterministic order — scenario by scenario, matrices decoded lazily
-/// through [`CellIter`] — invoking `visit` per matching cell. This is
-/// the one enumeration loop every planning-side consumer (manifest
-/// digests, drift checks, coverage verification, chunk maps) folds
-/// over; none of them ever hold a materialized cell list.
-fn stream_cells(
-    specs: &[ScenarioSpec],
-    filter: &Filter,
-    seed: u64,
+/// The planner's view of a space cell: its scenario id and the shard
+/// that owns it under the static partition.
+fn planned(
+    space: &CampaignSpace<'_>,
+    cell: Cell,
     shards: u32,
-    replicates: u32,
-    visit: &mut dyn FnMut(PlannedCell) -> Result<(), ScenarioError>,
-) -> Result<(), ScenarioError> {
-    let reps = replicates.max(1);
-    if reps > 1 {
-        // Mirror the executor's reservation of the replicate axis: a
-        // scenario declaring its own `rep` axis would make base and
-        // replicate coordinates ambiguous.
-        for spec in specs {
-            if spec.axes.iter().any(|a| a.name == crate::matrix::REP_AXIS) {
-                return Err(ScenarioError::Dist(format!(
-                    "scenario `{}` declares an axis named `{}`, which is \
-                     reserved for --replicates",
-                    spec.id,
-                    crate::matrix::REP_AXIS
-                )));
-            }
-        }
-    }
-    let mut global_base = 0usize;
-    for spec in specs {
-        let cells = CellIter::new(&spec.axes);
-        let matrix = cells.total();
-        for (base_local, base_params) in cells.enumerate() {
-            if !filter.matches(&base_params) {
-                continue;
-            }
-            let base_seed = cell_seed(seed, spec.id, &base_params);
-            // The replicate axis varies fastest, exactly as the
-            // executor decodes it: replicate cells of one base cell
-            // occupy consecutive global indices.
-            for rep in 0..reps {
-                let (params, cell_seed) = if reps > 1 {
-                    (
-                        crate::matrix::with_rep(&base_params, rep),
-                        crate::expect::replicate_seed(base_seed, rep),
-                    )
-                } else {
-                    (base_params.clone(), base_seed)
-                };
-                let fp = fingerprint_with_content(
-                    spec.id,
-                    spec.version,
-                    spec.content_digest.as_deref(),
-                    &params,
-                    cell_seed,
-                );
-                visit(PlannedCell {
-                    scenario: spec.id.to_string(),
-                    params,
-                    seed: cell_seed,
-                    shard: shard_of(&fp, shards)?,
-                    fingerprint: fp,
-                    global: global_base + base_local * reps as usize + rep as usize,
-                })?;
-            }
-        }
-        global_base += matrix * reps as usize;
-    }
-    Ok(())
+) -> Result<PlannedCell, ScenarioError> {
+    Ok(PlannedCell {
+        scenario: space.specs()[cell.scenario].id.to_string(),
+        shard: shard_of(&cell.fingerprint, shards)?,
+        params: cell.params,
+        seed: cell.seed,
+        fingerprint: cell.fingerprint,
+        global: cell.global,
+    })
 }
 
-/// Streams the manifest's planned cells (the worker-side view of
-/// [`stream_cells`]: selection, filter, seed and shard count all come
-/// from the manifest).
+/// Streams the manifest's planned cells in the executor's
+/// deterministic order, invoking `visit` per matching cell; no caller
+/// ever holds a materialized cell list.
 pub fn visit_planned_cells(
     registry: &Registry,
     manifest: &Manifest,
     visit: &mut dyn FnMut(PlannedCell) -> Result<(), ScenarioError>,
 ) -> Result<(), ScenarioError> {
-    let filter = manifest.parsed_filter()?;
-    let scenarios = select_scenarios(registry, &manifest.scenarios)?;
-    let specs: Vec<_> = scenarios.iter().map(|s| s.spec()).collect();
-    validate_filter(&specs, &filter)?;
-    stream_cells(
-        &specs,
-        &filter,
-        manifest.seed,
-        manifest.shards,
-        manifest.replicates,
-        visit,
-    )
+    let space = manifest.space(registry)?;
+    for cell in space.cells() {
+        visit(planned(&space, cell, manifest.shards)?)?;
+    }
+    Ok(())
+}
+
+/// Cell counts and fingerprint digests of a planned campaign, whole and
+/// per scenario: what a manifest records and the drift check
+/// recomputes.
+struct Tally {
+    cells: usize,
+    digest: FingerprintDigest,
+    per_scenario: Vec<(usize, FingerprintDigest)>,
+}
+
+/// One streaming pass over the space: tallies every cell and hands it
+/// to `observe`.
+fn tally(
+    space: &CampaignSpace<'_>,
+    shards: u32,
+    observe: &mut dyn FnMut(&PlannedCell),
+) -> Result<Tally, ScenarioError> {
+    let mut tally = Tally {
+        cells: 0,
+        digest: FingerprintDigest::new(),
+        per_scenario: vec![(0, FingerprintDigest::new()); space.specs().len()],
+    };
+    for cell in space.cells() {
+        tally.cells += 1;
+        tally.digest.update(&cell.fingerprint);
+        let (count, digest) = &mut tally.per_scenario[cell.scenario];
+        *count += 1;
+        digest.update(&cell.fingerprint);
+        observe(&planned(space, cell, shards)?);
+    }
+    Ok(tally)
 }
 
 /// Materializes the manifest's planned cells (a collecting wrapper over
@@ -608,13 +581,9 @@ pub fn plan_calibrated_with(
     if shards == 0 {
         return Err(ScenarioError::Dist("shard count must be >= 1".into()));
     }
-    if replicates == 0 {
-        return Err(ScenarioError::Dist("replicates must be >= 1".into()));
-    }
     let filter = Filter::parse(filter_clauses).map_err(ScenarioError::Dist)?;
-    let scenarios = select_scenarios(registry, select)?;
-    let specs: Vec<_> = scenarios.iter().map(|s| s.spec()).collect();
-    validate_filter(&specs, &filter)?;
+    let space = CampaignSpace::new(registry, select, &filter, seed, replicates)?;
+    let specs = space.specs();
     // Record the corpus identity when the planning registry carries one
     // and a selected scenario actually sweeps it.
     let corpus = registry.gen_options().and_then(|options| {
@@ -636,37 +605,21 @@ pub fn plan_calibrated_with(
         None => (vec![1.0; ids.len()], WeightSource::Unit),
     };
 
-    // One streaming pass folds every planned fingerprint into the
-    // global digest, the per-scenario digests and the shard balance.
-    let mut global = FingerprintDigest::new();
-    let mut cells = 0usize;
-    let mut per: Vec<(usize, FingerprintDigest)> =
-        ids.iter().map(|_| (0, FingerprintDigest::new())).collect();
     let mut shard_counts = vec![0usize; shards as usize];
-    let mut scenario_index = 0usize;
-    stream_cells(&specs, &filter, seed, shards, replicates, &mut |cell| {
-        while ids[scenario_index] != cell.scenario {
-            scenario_index += 1;
-        }
-        global.update(&cell.fingerprint);
-        cells += 1;
-        per[scenario_index].0 += 1;
-        per[scenario_index].1.update(&cell.fingerprint);
+    let tally = tally(&space, shards, &mut |cell| {
         shard_counts[cell.shard as usize] += 1;
-        Ok(())
     })?;
-
     let manifest = Manifest {
         seed,
         shards,
         replicates,
         scenarios: ids.clone(),
         filter: filter_clauses.to_vec(),
-        cells,
-        digest: global.finish(),
+        cells: tally.cells,
+        digest: tally.digest.finish(),
         per_scenario: ids
             .into_iter()
-            .zip(per)
+            .zip(tally.per_scenario)
             .zip(weights)
             .map(|((id, (count, digest)), weight)| ScenarioPlan {
                 id,
@@ -678,20 +631,6 @@ pub fn plan_calibrated_with(
         corpus,
     };
     Ok((manifest, shard_counts, source))
-}
-
-/// [`plan`], also returning the materialized planned cells — kept for
-/// tests and small campaigns; the CLI and workers stream instead.
-pub fn plan_with_cells(
-    registry: &Registry,
-    select: &[String],
-    filter_clauses: &[String],
-    seed: u64,
-    shards: u32,
-) -> Result<(Manifest, Vec<PlannedCell>), ScenarioError> {
-    let manifest = plan(registry, select, filter_clauses, seed, shards)?;
-    let cells = planned_cells(registry, &manifest)?;
-    Ok((manifest, cells))
 }
 
 /// Re-streams the manifest's campaign and errors if the registry has
@@ -733,31 +672,13 @@ pub fn check_drift_observing(
             )));
         }
     }
-    let mut cells = 0usize;
-    let mut global = FingerprintDigest::new();
-    let mut per: Vec<(usize, FingerprintDigest)> = manifest
-        .scenarios
-        .iter()
-        .map(|_| (0, FingerprintDigest::new()))
-        .collect();
-    let mut scenario_index = 0usize;
-    visit_planned_cells(registry, manifest, &mut |cell| {
-        while manifest.scenarios[scenario_index] != cell.scenario {
-            scenario_index += 1;
-        }
-        cells += 1;
-        global.update(&cell.fingerprint);
-        per[scenario_index].0 += 1;
-        per[scenario_index].1.update(&cell.fingerprint);
-        observe(&cell);
-        Ok(())
-    })?;
+    let tally = tally(&manifest.space(registry)?, manifest.shards, observe)?;
     // Name the scenarios whose slice moved (weights are advisory and
     // deliberately not part of the drift comparison).
     let drifted: Vec<String> = manifest
         .per_scenario
         .iter()
-        .zip(&per)
+        .zip(&tally.per_scenario)
         .filter(|(planned, (count, digest))| {
             planned.cells != *count || planned.digest != digest.finish()
         })
@@ -779,13 +700,13 @@ pub fn check_drift_observing(
             drifted.join(", ")
         )));
     }
-    if cells != manifest.cells {
+    if tally.cells != manifest.cells {
         return Err(ScenarioError::Dist(format!(
-            "registry drift: manifest plans {} cells but the registry expands to {cells} — re-plan",
-            manifest.cells
+            "registry drift: manifest plans {} cells but the registry expands to {} — re-plan",
+            manifest.cells, tally.cells
         )));
     }
-    let digest = global.finish();
+    let digest = tally.digest.finish();
     if digest != manifest.digest {
         return Err(ScenarioError::Dist(format!(
             "registry drift: manifest digest {} != registry digest {digest} \

@@ -62,51 +62,36 @@ pub struct Chunk {
 /// manifest computes the identical map — chunk ids are the whole
 /// coordination vocabulary.
 pub fn chunk_map(registry: &Registry, manifest: &Manifest) -> Result<Vec<Chunk>, ScenarioError> {
-    let scenarios = crate::exec::select_scenarios(registry, &manifest.scenarios)?;
-    let specs: Vec<_> = scenarios.iter().map(|s| s.spec()).collect();
-    // Replicates multiply every matrix in the global lazy index space,
-    // so chunk sizes (and therefore the initial lease balance) account
-    // for the full replicated cell load.
-    let reps = manifest.replicates.max(1) as usize;
-    let sizes: Vec<usize> = specs.iter().map(|s| s.matrix_size() * reps).collect();
-    let weights: Vec<f64> = specs.iter().map(|s| manifest.weight_of(s.id)).collect();
-    let total_cost: f64 = sizes
+    // The space's scenario ranges already carry the replicate
+    // multiplier, so chunk sizes (and therefore the initial lease
+    // balance) account for the full replicated cell load.
+    let space = manifest.space(registry)?;
+    let weights: Vec<f64> = space
+        .specs()
         .iter()
+        .map(|s| manifest.weight_of(s.id))
+        .collect();
+    let total_cost: f64 = space
+        .ranges()
         .zip(&weights)
-        .map(|(&n, &w)| n as f64 * w)
+        .map(|(range, w)| range.len() as f64 * w)
         .sum();
     let target = (manifest.shards as usize * CHUNKS_PER_SHARD).max(1);
     let cost_per_chunk = (total_cost / target as f64).max(f64::MIN_POSITIVE);
 
     let mut chunks = Vec::new();
-    let mut base = 0usize;
-    for ((size, weight), _) in sizes.iter().zip(&weights).zip(&specs) {
+    for (scenario, (range, weight)) in space.ranges().zip(&weights).enumerate() {
         let cells_per_chunk = ((cost_per_chunk / weight).round() as usize).max(1);
-        let mut start = 0usize;
-        while start < *size {
-            let end = (start + cells_per_chunk).min(*size);
+        for start in range.clone().step_by(cells_per_chunk) {
+            let end = (start + cells_per_chunk).min(range.end);
             chunks.push(Chunk {
                 id: chunks.len(),
-                scenario: chunks.len(), // placeholder, fixed below
-                range: base + start..base + end,
+                scenario,
+                range: start..end,
                 cost: (end - start) as f64 * weight,
                 initial_shard: 0,
             });
-            start = end;
         }
-        base += size;
-    }
-    // Second pass: scenario attribution (which range belongs to which
-    // scenario is recoverable from the prefix sums).
-    let mut prefix = Vec::with_capacity(sizes.len() + 1);
-    let mut acc = 0usize;
-    for size in &sizes {
-        prefix.push(acc);
-        acc += size;
-    }
-    prefix.push(acc);
-    for chunk in &mut chunks {
-        chunk.scenario = prefix.partition_point(|&p| p <= chunk.range.start) - 1;
     }
     // Initial lease: greedy least-loaded in chunk order — deterministic
     // and cost-balanced under the manifest's weights.
@@ -406,10 +391,7 @@ pub fn run_shard_stealing(
             progress: accumulated
                 .as_ref()
                 .map(|a| a as &(dyn Fn(crate::exec::ExecProgress) + Sync)),
-            on_result: hooks.on_result,
-            on_timing: hooks.on_timing,
-            obs: hooks.obs,
-            cancel: hooks.cancel,
+            ..hooks
         };
         let piece = run_campaign_with(
             registry,

@@ -2,23 +2,21 @@
 //!
 //! A campaign is a deterministic function of `(selected scenarios,
 //! filter, campaign seed)` — never of thread count or scheduling. The
-//! executor fixes the cell order up front (scenarios in registration
-//! order, cells in row-major matrix order) by working over a *global
-//! lazy index space*: scenario matrices are never materialized; workers
-//! pull raw indices from a shared cursor and decode each one on the fly
-//! through [`CellIter`](crate::matrix::CellIter) — filter check, shard
-//! check and store lookup included. Every worker accumulates its
-//! outcomes in a private slot buffer (no shared mutex on the hot path);
-//! the buffers are merged and sorted by global index afterwards, so the
-//! assembled campaign is identical whether one thread ran it or
-//! sixteen. [`ExecHooks`] expose the stream as it happens: a progress
-//! callback per executed cell and a result sink that feeds the
-//! crash-resume journal.
+//! cell order is fixed up front by the campaign's [`CampaignSpace`]:
+//! workers pull raw global indices from a shared cursor and decode each
+//! one on the fly — filter check, shard check and store lookup
+//! included. Every worker accumulates its outcomes in a private slot
+//! buffer (no shared mutex on the hot path); the buffers are merged and
+//! sorted by global index afterwards, so the assembled campaign is
+//! identical whether one thread ran it or sixteen. [`ExecHooks`] expose
+//! the stream as it happens: a progress callback per executed cell and
+//! a result sink that feeds the crash-resume journal.
 
-use crate::matrix::{CellIter, Filter, REP_AXIS};
+use crate::matrix::Filter;
 use crate::registry::Registry;
-use crate::scenario::{CellResult, Params, Scenario, ScenarioError, ScenarioSpec};
-use crate::store::{fingerprint_with_content, ResultStore, StoredCell};
+use crate::scenario::{CellResult, Params, ScenarioError};
+use crate::space::{CampaignSpace, Cell};
+use crate::store::{ResultStore, StoredCell};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -140,27 +138,8 @@ pub fn shard_of(fp: &str, shards: u32) -> Result<u32, ScenarioError> {
     Ok((z % u64::from(shards.max(1))) as u32)
 }
 
-/// Derives the deterministic seed of one cell.
-pub fn cell_seed(campaign_seed: u64, scenario_id: &str, params: &Params) -> u64 {
-    let mut h = crate::store::FNV_OFFSET ^ campaign_seed.rotate_left(17);
-    for bytes in [
-        scenario_id.as_bytes(),
-        b"\xff" as &[u8],
-        params.key().as_bytes(),
-    ] {
-        h = crate::store::fnv1a(bytes, h);
-    }
-    // SplitMix64 finalizer: spreads FNV's low-entropy high bits.
-    let mut z = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The cell domain one executor invocation sweeps, expressed over the
-/// campaign's *global lazy index space*: scenarios in selection order,
-/// each scenario's matrix in row-major order. The space is never
-/// materialized — cells are decoded from indices on demand.
+/// campaign's global index space ([`CampaignSpace`]).
 #[derive(Debug, Clone, Copy)]
 pub enum CellDomain<'a> {
     /// Every matching cell.
@@ -284,75 +263,6 @@ pub fn run_campaign(
     )
 }
 
-/// Resolves a selection against the registry (empty = every scenario;
-/// repeated ids deduplicated, first occurrence wins the order).
-pub(crate) fn select_scenarios<'a>(
-    registry: &'a Registry,
-    select: &[String],
-) -> Result<Vec<&'a dyn Scenario>, ScenarioError> {
-    if select.is_empty() {
-        return Ok(registry.scenarios().collect());
-    }
-    let mut seen = std::collections::BTreeSet::new();
-    select
-        .iter()
-        .filter(|id| seen.insert(id.as_str()))
-        .map(|id| {
-            registry
-                .get(id)
-                .ok_or_else(|| ScenarioError::UnknownScenario(id.clone()))
-        })
-        .collect()
-}
-
-/// A filter clause must name an axis of at least one selected scenario
-/// — otherwise it is a typo that would silently run the whole
-/// unfiltered campaign.
-pub(crate) fn validate_filter(
-    specs: &[ScenarioSpec],
-    filter: &Filter,
-) -> Result<(), ScenarioError> {
-    for axis in filter.constrained_axes() {
-        let known = specs
-            .iter()
-            .any(|spec| spec.axes.iter().any(|a| a.name == axis));
-        if !known {
-            return Err(ScenarioError::UnknownFilterAxis(axis.to_string()));
-        }
-    }
-    Ok(())
-}
-
-/// [`run_campaign`], restricted to one shard of the cell partition.
-///
-/// With `shard: None` every matching cell runs. With `Some(shard)`,
-/// only cells whose fingerprint the shard [owns](Shard::owns) are
-/// evaluated; the resulting campaign (and store writes) cover exactly
-/// that slice, so N disjoint shard runs merge into the same store a
-/// single-process run would have produced.
-pub fn run_campaign_shard(
-    registry: &Registry,
-    select: &[String],
-    filter: &Filter,
-    config: &ExecConfig,
-    store: &mut ResultStore,
-    shard: Option<Shard>,
-) -> Result<Campaign, ScenarioError> {
-    let domain = match shard {
-        Some(s) => CellDomain::Shard(s),
-        None => CellDomain::All,
-    };
-    run_campaign_with(
-        registry,
-        select,
-        filter,
-        config,
-        store,
-        domain,
-        ExecHooks::default(),
-    )
-}
-
 /// What one scanned lazy index produced: either a store hit or a fresh
 /// evaluation. Each matching cell gets exactly one slot, owned by the
 /// worker that scanned it — the lock-free replacement for the old
@@ -363,14 +273,7 @@ enum SlotOutcome {
 }
 
 struct Slot {
-    /// Position in the global lazy index space (the deterministic sort
-    /// key that makes assembly scheduling-independent).
-    global: usize,
-    /// Index into the selected-scenario list.
-    scenario: usize,
-    params: Params,
-    seed: u64,
-    fingerprint: String,
+    cell: Cell,
     outcome: SlotOutcome,
 }
 
@@ -392,39 +295,8 @@ pub fn run_campaign_with(
         Shard::new(s.index, s.count)?;
     }
     let plan_span = hooks.obs.map(|o| o.span("plan", "exec"));
-    if config.replicates == 0 {
-        return Err(ScenarioError::Dist("replicates must be >= 1".into()));
-    }
-    let scenarios = select_scenarios(registry, select)?;
-    let specs: Vec<_> = scenarios.iter().map(|s| s.spec()).collect();
-    validate_filter(&specs, filter)?;
-    // The replicate axis is reserved: a scenario declaring its own
-    // `rep` axis would make base and replicate coordinates ambiguous.
-    let reps = config.replicates as usize;
-    if reps > 1 {
-        for spec in &specs {
-            if spec.axes.iter().any(|a| a.name == REP_AXIS) {
-                return Err(ScenarioError::Dist(format!(
-                    "scenario `{}` declares an axis named `{REP_AXIS}`, which is \
-                     reserved for --replicates",
-                    spec.id
-                )));
-            }
-        }
-    }
-
-    // The global lazy index space: prefix[i] is the first index of
-    // scenario i's matrix (× the replicate multiplier), prefix[len]
-    // the total. The replicate axis varies fastest, so the N cells of
-    // one base cell are consecutive.
-    let mut prefix = Vec::with_capacity(specs.len() + 1);
-    let mut total = 0usize;
-    for spec in &specs {
-        prefix.push(total);
-        total += spec.matrix_size() * reps;
-    }
-    prefix.push(total);
-
+    let space = CampaignSpace::new(registry, select, filter, config.seed, config.replicates)?;
+    let total = space.total();
     let whole = 0..total;
     let (ranges, shard): (&[Range<usize>], Option<Shard>) = match domain {
         CellDomain::All => (std::slice::from_ref(&whole), None),
@@ -464,6 +336,7 @@ pub fn run_campaign_with(
     // buffers and are folded into the store in phase 2.
     let mut slots: Vec<Slot> = {
         let store: &ResultStore = store;
+        let space = &space;
         let scan = |out: &mut Vec<Slot>| {
             // One `worker` span per worker thread: its whole pull loop,
             // so the trace shows per-worker occupancy and imbalance.
@@ -491,57 +364,32 @@ pub fn run_campaign_with(
                         }
                     })
                     .expect("scan position within summed range length");
-                let scenario = prefix.partition_point(|&p| p <= global) - 1;
-                let spec = &specs[scenario];
-                let local = global - prefix[scenario];
-                // Replicates: the base cell index and replicate index
-                // are the quotient/remainder of the local index — the
-                // filter sees *base* coordinates, so it keeps or drops
-                // whole replicate groups.
-                let (base_local, rep) = (local / reps, (local % reps) as u32);
-                let base_params = CellIter::new(&spec.axes)
-                    .cell_at(base_local)
-                    .expect("lazy index within the scenario's matrix");
-                if !filter.matches(&base_params) {
+                let Some(cell) = space.decode(global) else {
                     continue;
-                }
-                let base_seed = cell_seed(config.seed, spec.id, &base_params);
-                let (params, seed) = if reps > 1 {
-                    (
-                        crate::matrix::with_rep(&base_params, rep),
-                        crate::expect::replicate_seed(base_seed, rep),
-                    )
-                } else {
-                    (base_params, base_seed)
                 };
-                let fingerprint = fingerprint_with_content(
-                    spec.id,
-                    spec.version,
-                    spec.content_digest.as_deref(),
-                    &params,
-                    seed,
-                );
                 drop(decode_span);
-                let slot = |outcome| Slot {
-                    global,
-                    scenario,
-                    params: params.clone(),
-                    seed,
-                    fingerprint: fingerprint.clone(),
-                    outcome,
-                };
+                let id = space.specs()[cell.scenario].id;
                 if let Some(s) = shard {
-                    match s.owns(&fingerprint) {
+                    match s.owns(&cell.fingerprint) {
                         Ok(false) => continue,
                         Ok(true) => {}
                         Err(e) => {
-                            out.push(slot(SlotOutcome::Fresh(Err(e))));
+                            out.push(Slot {
+                                cell,
+                                outcome: SlotOutcome::Fresh(Err(e)),
+                            });
                             continue;
                         }
                     }
                 }
+                // The executor only produces raw cells: a fold cell
+                // stored under this fingerprint (an earlier replicated
+                // run's distribution) is a miss, and the fresh raw cell
+                // replaces it.
                 let memo_span = hooks.obs.map(|o| o.span("memo", "store"));
-                let memoized = store.get_by_fingerprint(&fingerprint).is_some();
+                let memoized = store
+                    .get_by_fingerprint(&cell.fingerprint)
+                    .is_some_and(|hit| !hit.fold);
                 drop(memo_span);
                 if let Some(obs) = hooks.obs {
                     obs.count(if memoized { "memo/hit" } else { "memo/miss" }, 1);
@@ -549,8 +397,8 @@ pub fn run_campaign_with(
                 if memoized {
                     if let Some(timing) = hooks.on_timing {
                         timing(CellTiming {
-                            fingerprint: &fingerprint,
-                            scenario: spec.id,
+                            fingerprint: &cell.fingerprint,
+                            scenario: id,
                             wall: None,
                         });
                     }
@@ -562,7 +410,10 @@ pub fn run_campaign_with(
                             total: scan_len,
                         });
                     }
-                    out.push(slot(SlotOutcome::Memoized));
+                    out.push(Slot {
+                        cell,
+                        outcome: SlotOutcome::Memoized,
+                    });
                     continue;
                 }
                 // The measured span covers the evaluation plus the test
@@ -572,7 +423,7 @@ pub fn run_campaign_with(
                 // this duration negative, and the same interval feeds the
                 // telemetry sidecar and the `cell` trace span.
                 let started_ns = crate::obs::monotonic_ns();
-                let outcome = scenarios[scenario].run(&params, seed);
+                let outcome = space.scenario(cell.scenario).run(&cell.params, cell.seed);
                 if !delay.is_zero() {
                     std::thread::sleep(delay);
                 }
@@ -584,22 +435,12 @@ pub fn run_campaign_with(
                 }
                 if let Ok(result) = &outcome {
                     if let Some(sink) = hooks.on_result {
-                        sink(
-                            &fingerprint,
-                            &StoredCell {
-                                scenario: spec.id.to_string(),
-                                version: spec.version,
-                                params_key: params.key(),
-                                seed,
-                                fold: false,
-                                result: result.clone(),
-                            },
-                        );
+                        sink(&cell.fingerprint, &space.record(&cell, result.clone()));
                     }
                     if let Some(timing) = hooks.on_timing {
                         timing(CellTiming {
-                            fingerprint: &fingerprint,
-                            scenario: spec.id,
+                            fingerprint: &cell.fingerprint,
+                            scenario: id,
                             wall: Some(wall),
                         });
                     }
@@ -612,7 +453,10 @@ pub fn run_campaign_with(
                         total: scan_len,
                     });
                 }
-                out.push(slot(SlotOutcome::Fresh(outcome)));
+                out.push(Slot {
+                    cell,
+                    outcome: SlotOutcome::Fresh(outcome),
+                });
             }
         };
         if workers <= 1 {
@@ -645,57 +489,47 @@ pub fn run_campaign_with(
     // Every successful result is persisted even when a sibling cell
     // errors — cells are deterministic, so a retry after a partial
     // failure memoizes the work that did complete.
-    slots.sort_unstable_by_key(|s| s.global);
+    slots.sort_unstable_by_key(|s| s.cell.global);
+    // Only a *complete* campaign (the full domain) folds its
+    // replicates: shard and range runs leave raw replicate cells for
+    // the merge engine to fold once every shard's outcomes are fused —
+    // the fold must see all N replicates of a base cell, and a
+    // partition sees only the ones it owns.
+    let folding = space.replicates() > 1 && matches!(domain, CellDomain::All);
+    // (global index, fingerprint) of every assembled cell, for the fold.
+    let mut raw: Vec<(usize, String)> = Vec::new();
     let mut cells = Vec::with_capacity(slots.len());
     let mut executed = 0;
     let mut memoized = 0;
     let mut first_error: Option<ScenarioError> = None;
-    for slot in slots {
-        let scenario_id = specs[slot.scenario].id.to_string();
-        match slot.outcome {
-            SlotOutcome::Memoized => {
-                let hit = store
-                    .get_by_fingerprint(&slot.fingerprint)
-                    .expect("memoized cell vanished from the store");
-                memoized += 1;
-                cells.push(CampaignCell {
-                    scenario: scenario_id,
-                    params: slot.params,
-                    seed: slot.seed,
-                    result: hit.result.clone(),
-                    memoized: true,
-                });
-            }
+    for Slot { cell, outcome } in slots {
+        let hit = matches!(outcome, SlotOutcome::Memoized);
+        match outcome {
+            SlotOutcome::Memoized => memoized += 1,
             SlotOutcome::Fresh(Ok(result)) => {
                 executed += 1;
-                store.insert_cell(
-                    slot.fingerprint.clone(),
-                    StoredCell {
-                        scenario: scenario_id.clone(),
-                        version: specs[slot.scenario].version,
-                        params_key: slot.params.key(),
-                        seed: slot.seed,
-                        fold: false,
-                        result,
-                    },
-                );
-                let stored = store
-                    .get_by_fingerprint(&slot.fingerprint)
-                    .expect("cell just inserted");
-                cells.push(CampaignCell {
-                    scenario: scenario_id,
-                    params: slot.params,
-                    seed: slot.seed,
-                    result: stored.result.clone(),
-                    memoized: false,
-                });
+                store.insert_cell(cell.fingerprint.clone(), space.record(&cell, result));
             }
             SlotOutcome::Fresh(Err(e)) => {
                 executed += 1;
                 if first_error.is_none() {
                     first_error = Some(e);
                 }
+                continue;
             }
+        }
+        let stored = store
+            .get_by_fingerprint(&cell.fingerprint)
+            .expect("assembled cell is in the store");
+        cells.push(CampaignCell {
+            scenario: space.specs()[cell.scenario].id.to_string(),
+            params: cell.params,
+            seed: cell.seed,
+            result: stored.result.clone(),
+            memoized: hit,
+        });
+        if folding {
+            raw.push((cell.global, cell.fingerprint));
         }
     }
     if let Some(e) = first_error {
@@ -708,14 +542,8 @@ pub fn run_campaign_with(
     if hooks.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
         return Err(ScenarioError::Cancelled);
     }
-
-    // Replicate fold: only a *complete* campaign (the full domain)
-    // folds. Shard and range runs leave raw replicate cells for the
-    // merge engine to fold once every shard's outcomes are fused — the
-    // fold must see all N replicates of a base cell, and a partition
-    // sees only the ones it owns.
-    if reps > 1 && matches!(domain, CellDomain::All) {
-        cells = fold_campaign(&specs, cells, config, store)?;
+    if folding {
+        cells = fold_campaign(&space, &cells, &raw, config.keep_replicates, store)?;
     }
 
     Ok(Campaign {
@@ -727,80 +555,37 @@ pub fn run_campaign_with(
     })
 }
 
-/// Folds each consecutive group of N replicate cells of a completed
-/// full-domain campaign into one fold cell: derived distribution
-/// metrics inserted into the store under the *base* fingerprint, raw
-/// replicate cells removed unless `keep_replicates`. Assembly already
-/// sorted cells by global index and the replicate axis varies fastest,
-/// so each group sits consecutively in replicate-index order — which
-/// is exactly the order the fold must consume for shard/merge byte
-/// equivalence.
+/// Folds each replicate group of a completed full-domain campaign into
+/// one fold cell stored under the *base* fingerprint, removing the raw
+/// replicate cells unless `keep_replicates`. Assembly sorted the cells
+/// by global index and the replicate axis varies fastest, so each group
+/// sits consecutively in replicate order — exactly the order the fold
+/// must consume for shard/merge byte equivalence.
 fn fold_campaign(
-    specs: &[ScenarioSpec],
-    cells: Vec<CampaignCell>,
-    config: &ExecConfig,
+    space: &CampaignSpace<'_>,
+    cells: &[CampaignCell],
+    raw: &[(usize, String)],
+    keep_replicates: bool,
     store: &mut ResultStore,
 ) -> Result<Vec<CampaignCell>, ScenarioError> {
-    let reps = config.replicates as usize;
-    if !cells.len().is_multiple_of(reps) {
-        return Err(ScenarioError::Store(format!(
-            "replicate fold: {} cells is not a multiple of {reps} replicates",
-            cells.len()
-        )));
-    }
+    let reps = space.replicates();
     let mut folded = Vec::with_capacity(cells.len() / reps);
-    for group in cells.chunks_exact(reps) {
-        let spec = specs
-            .iter()
-            .find(|s| s.id == group[0].scenario)
-            .expect("campaign cell of an unselected scenario");
-        let (base_params, first_rep) =
-            crate::matrix::split_rep(&group[0].params).ok_or_else(|| {
-                ScenarioError::Store(format!(
-                    "replicate fold: cell `{}` lacks a {REP_AXIS} coordinate",
-                    group[0].params.key()
-                ))
-            })?;
-        debug_assert_eq!(first_rep, 0, "groups start at replicate 0");
+    for (group, raw) in cells.chunks(reps).zip(raw.chunks(reps)) {
         let results: Vec<&CellResult> = group.iter().map(|c| &c.result).collect();
-        let fold = crate::expect::fold_results(&results)?;
-        let base_seed = cell_seed(config.seed, spec.id, &base_params);
-        let base_fp = fingerprint_with_content(
-            spec.id,
-            spec.version,
-            spec.content_digest.as_deref(),
-            &base_params,
-            base_seed,
-        );
-        if !config.keep_replicates {
-            for cell in group {
-                store.remove(&fingerprint_with_content(
-                    spec.id,
-                    spec.version,
-                    spec.content_digest.as_deref(),
-                    &cell.params,
-                    cell.seed,
-                ));
+        let (base, fold) = space.fold(raw[0].0, &results)?;
+        if !keep_replicates {
+            for (_, fingerprint) in raw {
+                store.remove(fingerprint);
             }
         }
-        store.insert_cell(
-            base_fp,
-            StoredCell {
-                scenario: spec.id.to_string(),
-                version: spec.version,
-                params_key: base_params.key(),
-                seed: base_seed,
-                fold: true,
-                result: fold.clone(),
-            },
-        );
         folded.push(CampaignCell {
-            scenario: spec.id.to_string(),
-            params: base_params,
-            seed: base_seed,
-            result: fold,
+            scenario: fold.scenario.clone(),
+            params: base.params,
+            seed: base.seed,
+            result: fold.result.clone(),
             memoized: group.iter().all(|c| c.memoized),
         });
+        store.insert_cell(base.fingerprint, fold);
     }
     Ok(folded)
 }
@@ -808,7 +593,7 @@ fn fold_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{Axis, ScenarioSpec};
+    use crate::scenario::{Axis, Scenario, ScenarioSpec};
     use std::sync::Mutex;
 
     /// A deterministic toy scenario: metric = f(params, seed).
@@ -1053,7 +838,7 @@ mod tests {
         for count in [1u32, 2, 3, 4] {
             let mut sharded: Vec<CampaignCell> = Vec::new();
             for index in 0..count {
-                let slice = run_campaign_shard(
+                let slice = run_campaign_with(
                     &registry(),
                     &[],
                     &Filter::all(),
@@ -1063,7 +848,8 @@ mod tests {
                         ..ExecConfig::default()
                     },
                     &mut ResultStore::new(),
-                    Some(Shard::new(index, count).unwrap()),
+                    CellDomain::Shard(Shard::new(index, count).unwrap()),
+                    ExecHooks::default(),
                 )
                 .unwrap();
                 sharded.extend(slice.cells);
@@ -1084,7 +870,7 @@ mod tests {
         assert!(Shard::new(0, 0).is_err());
         assert!(Shard::new(3, 3).is_err());
         assert!(Shard::new(2, 3).is_ok());
-        let err = run_campaign_shard(
+        let err = run_campaign_with(
             &registry(),
             &[],
             &Filter::all(),
@@ -1094,7 +880,8 @@ mod tests {
                 ..ExecConfig::default()
             },
             &mut ResultStore::new(),
-            Some(Shard { index: 5, count: 2 }),
+            CellDomain::Shard(Shard { index: 5, count: 2 }),
+            ExecHooks::default(),
         )
         .unwrap_err();
         assert!(matches!(err, ScenarioError::Dist(_)));
@@ -1111,15 +898,6 @@ mod tests {
             assert!(shard.owns(bad).is_err());
         }
         assert!(shard_of("0123456789abcdef", 4).is_ok());
-    }
-
-    #[test]
-    fn cell_seed_is_stable_and_input_sensitive() {
-        let p = Params::new(vec![("a".into(), "1".into())]);
-        let s = cell_seed(5, "toy", &p);
-        assert_eq!(s, cell_seed(5, "toy", &p));
-        assert_ne!(s, cell_seed(6, "toy", &p));
-        assert_ne!(s, cell_seed(5, "other", &p));
     }
 
     #[test]
@@ -1460,6 +1238,40 @@ mod tests {
         assert_eq!(plain_fps, rep_fps, "fold cells reuse the base identity");
         assert!(rep_store.iter().all(|(_, c)| c.fold));
         assert!(plain_store.iter().all(|(_, c)| !c.fold));
+    }
+
+    #[test]
+    fn unreplicated_run_over_fold_cells_recomputes_raw_cells() {
+        // Fold cells live under the base fingerprints an unreplicated
+        // run looks up; they must not be served as raw results.
+        let filter = Filter::all().with("a", "1").with("a", "2");
+        let run_filtered = |reps, store: &mut ResultStore| {
+            run_campaign(
+                &registry(),
+                &[],
+                &filter,
+                &ExecConfig {
+                    threads: 2,
+                    seed: 21,
+                    replicates: reps,
+                    keep_replicates: false,
+                },
+                store,
+            )
+            .unwrap()
+        };
+        let mut store = ResultStore::new();
+        run_filtered(4, &mut store);
+        assert!(store.iter().all(|(_, c)| c.fold));
+        let over_folds = run_filtered(1, &mut store);
+        let fresh = run_filtered(1, &mut ResultStore::new());
+        assert_eq!(over_folds, fresh);
+        assert_eq!(over_folds.executed, 4);
+        assert_eq!(store.len(), 4);
+        assert!(
+            store.iter().all(|(_, c)| !c.fold),
+            "raw cells replace folds"
+        );
     }
 
     #[test]

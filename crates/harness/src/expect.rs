@@ -14,8 +14,8 @@
 //!
 //! Determinism contract: the fold consumes outcomes in *replicate
 //! index* order (never arrival order), so an N-shard campaign merged
-//! through [`fold_store`] produces byte-identical fold cells to a
-//! single-process run.
+//! and folded through [`CampaignSpace::fold`](crate::space::CampaignSpace::fold)
+//! produces byte-identical fold cells to a single-process run.
 
 use crate::scenario::{CellResult, ScenarioError};
 

@@ -22,6 +22,12 @@
 //!   decodes any cell from its row-major index in constant memory, so
 //!   planning and sharding sweep multi-million-cell matrices without
 //!   materializing them.
+//! * [`space`] — the campaign index space: [`CampaignSpace`] resolves
+//!   `(scenarios, filter, seed, replicates)` once and is the one place
+//!   that decides a cell's global index, params, seed and fingerprint,
+//!   and how a replicate group folds. The executor, the shard planner,
+//!   the work-stealing chunk map and the merge-time fold all address
+//!   cells through it.
 //! * [`exec`] — the streaming parallel executor: workers pull lazy
 //!   cell indices from a shared cursor, decode/filter/memo-check each
 //!   on the fly and buffer outcomes in private per-worker slots (no
@@ -131,13 +137,14 @@ pub mod report;
 pub mod scenario;
 pub mod scenarios;
 pub mod serve;
+pub mod space;
 pub mod store;
 pub mod telemetry;
 
 pub use dist::{diff_stores, merge_stores, DiffReport, LeaseDir, Manifest, Tolerances};
 pub use exec::{
-    run_campaign, run_campaign_shard, run_campaign_with, Campaign, CampaignCell, CellDomain,
-    ExecConfig, ExecHooks, ExecProgress, Shard,
+    run_campaign, run_campaign_with, Campaign, CampaignCell, CellDomain, ExecConfig, ExecHooks,
+    ExecProgress, Shard,
 };
 pub use expect::{fold_results, replicate_seed, Accumulator, Moments, DERIVED_SUFFIXES};
 pub use gen::{Corpus, GenOptions};
@@ -146,5 +153,6 @@ pub use obs::Obs;
 pub use registry::Registry;
 pub use scenario::{Axis, CellResult, Params, Scenario, ScenarioError, ScenarioSpec};
 pub use serve::{ServeOptions, ServeSummary, Server, ServerHandle};
+pub use space::CampaignSpace;
 pub use store::{CompactingJournal, Journal, OpenedStore, ResultStore, StoreFormat};
 pub use telemetry::{Telemetry, TelemetryLog};
