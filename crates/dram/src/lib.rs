@@ -1,8 +1,8 @@
 //! # dram-sim
 //!
 //! SDRAM device and controller models for the paper's Table 2 rows on
-//! predictable DRAM controllers (Predator [1], AMC [17]) and
-//! predictable refreshes (Bhat & Mueller [4]).
+//! predictable DRAM controllers (Predator \[1\], AMC \[17\]) and
+//! predictable refreshes (Bhat & Mueller \[4\]).
 //!
 //! The template instances: the *property* is the latency of DRAM
 //! accesses; the *sources of uncertainty* are the occurrence of

@@ -46,20 +46,21 @@
 //! clause, unreadable store or manifest, merge conflict).
 
 use harness::dist;
-use harness::exec::{run_campaign_with, Campaign, CellDomain, ExecConfig, ExecHooks, ExecProgress};
+use harness::exec::{run_campaign_with, Campaign, CellDomain, CellEvent, ExecConfig, ExecHooks};
 use harness::gen::{GenOptions, DEFAULT_CORPUS_SIZE};
 use harness::json::Json;
 use harness::matrix::Filter;
 use harness::obs::{trace as obs_trace, Obs};
 use harness::registry::Registry;
 use harness::report;
+use harness::scenario::ScenarioError;
 use harness::serve::{lock as serve_lock, top as serve_top, ServeOptions, Server};
-use harness::store::{self, CompactingJournal, ResultStore};
-use harness::telemetry::{self, Telemetry, TelemetryLog};
+use harness::session::Session;
+use harness::store::{self, ResultStore};
+use harness::telemetry::{self, Telemetry};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::Mutex;
 
 /// `diff` found differences (distinct from errors, like `diff(1)`).
 const EXIT_DIFFERENCES: u8 = 1;
@@ -873,152 +874,109 @@ fn convert(options: &Options) -> Result<u8, String> {
     Ok(0)
 }
 
-/// The store-and-sidecar state around one campaign execution: with
-/// `--resume` the journal is replayed into the store before running;
-/// with journaling active every fresh cell is appended as it completes
-/// and the journal is compacted into the checkpoint on success; with
-/// `--telemetry` every cell's wall clock and last-hit timestamp is
-/// appended to the telemetry sidecar (which never touches the store's
-/// bytes).
-struct Session {
-    store: ResultStore,
-    /// Journal cells replayed by `--resume`.
-    replayed: usize,
-    journal: Option<Mutex<CompactingJournal>>,
-    telemetry: Option<Mutex<TelemetryLog>>,
-    /// Span/counter recorder behind `--trace FILE`: threaded through
-    /// the executor hooks and the journal/telemetry sidecars, streamed
-    /// out as a Chrome trace-event file on close. Purely observational
-    /// — the store bytes are identical with and without it.
-    obs: Option<Obs>,
-    store_path: Option<PathBuf>,
+/// Validates the persistence flags of a campaign command and opens what
+/// its session runs against: the `--trace` recorder (threaded through
+/// the executor and the journal/telemetry sidecars, streamed out as a
+/// Chrome trace-event file at the end; purely observational) and the
+/// store, with `--resume` replaying its journal. Returns the store, the
+/// journal cells replayed and the recorder.
+fn open_store(options: &Options) -> Result<(ResultStore, usize, Option<Obs>), String> {
+    let journaling = options.resume || options.checkpoint_every.is_some();
+    if journaling && options.store.is_none() {
+        return Err("--resume and --checkpoint-every need --store PATH".into());
+    }
+    // The threshold only means something against an active journal:
+    // accepting it alone would silently run without any journaling.
+    if options.compact_journal_over.is_some() && options.checkpoint_every.is_none() {
+        return Err(
+            "--compact-journal-over needs --checkpoint-every (it bounds the journal \
+             that flag appends to)"
+                .into(),
+        );
+    }
+    if options.telemetry && options.store.is_none() {
+        return Err("--telemetry needs --store PATH (the sidecar lives beside it)".into());
+    }
+    // The recorder opens first so store load / journal replay below
+    // already appear in the trace.
+    let obs = match &options.trace {
+        Some(path) => Some(Obs::with_trace(path).map_err(|e| e.to_string())?),
+        None => None,
+    };
+    let (store, replayed) = match (&options.store, options.resume) {
+        (Some(path), true) => {
+            ResultStore::open_resumable_observed(path, obs.as_ref()).map_err(|e| e.to_string())?
+        }
+        (Some(path), false) => (ResultStore::load(path).map_err(|e| e.to_string())?, 0),
+        (None, _) => (ResultStore::new(), 0),
+    };
+    Ok((store, replayed, obs))
 }
 
-impl Session {
-    fn open(options: &Options) -> Result<Session, String> {
-        let journaling = options.resume || options.checkpoint_every.is_some();
-        if journaling && options.store.is_none() {
-            return Err("--resume and --checkpoint-every need --store PATH".into());
-        }
-        // The threshold only means something against an active journal:
-        // accepting it alone would silently run without any journaling.
-        if options.compact_journal_over.is_some() && options.checkpoint_every.is_none() {
-            return Err(
-                "--compact-journal-over needs --checkpoint-every (it bounds the journal \
-                 that flag appends to)"
-                    .into(),
-            );
-        }
-        if options.telemetry && options.store.is_none() {
-            return Err("--telemetry needs --store PATH (the sidecar lives beside it)".into());
-        }
-        // The recorder opens first so store load / journal replay below
-        // already appear in the trace.
-        let obs = match &options.trace {
-            Some(path) => Some(Obs::with_trace(path).map_err(|e| e.to_string())?),
-            None => None,
-        };
-        let (store, replayed) = match (&options.store, options.resume) {
-            (Some(path), true) => ResultStore::open_resumable_observed(path, obs.as_ref())
-                .map_err(|e| e.to_string())?,
-            (Some(path), false) => (ResultStore::load(path).map_err(|e| e.to_string())?, 0),
-            (None, _) => (ResultStore::new(), 0),
-        };
-        let journal = match (&options.store, journaling) {
-            (Some(path), true) => {
-                let mut journal = CompactingJournal::open(
-                    path,
-                    options.checkpoint_every.unwrap_or(1),
-                    options.compact_journal_over,
-                    &store,
-                )
-                .map_err(|e| e.to_string())?;
-                if let Some(obs) = &obs {
-                    journal.observe(obs);
-                }
-                Some(Mutex::new(journal))
-            }
-            _ => None,
-        };
-        let telemetry = match (&options.store, options.telemetry) {
-            (Some(path), true) => {
-                let mut log = TelemetryLog::open(
-                    path,
-                    options
-                        .checkpoint_every
-                        .unwrap_or(telemetry::DEFAULT_TELEMETRY_BATCH),
-                )
-                .map_err(|e| e.to_string())?;
-                if let Some(obs) = &obs {
-                    log.observe(obs);
-                }
-                Some(Mutex::new(log))
-            }
-            _ => None,
-        };
-        Ok(Session {
-            store,
-            replayed,
-            journal,
-            telemetry,
-            obs,
-            store_path: options.store.clone(),
-        })
+/// Runs `runner` in a [`Session`] built from the persistence flags
+/// (journal with `--resume`/`--checkpoint-every`, sidecar with
+/// `--telemetry`, the `--progress` stderr line), then prints what was
+/// persisted and finishes the trace. The store is written before the
+/// runner's error is returned, so a failing cell keeps its completed
+/// siblings on disk.
+fn run_session<T>(
+    options: &Options,
+    store: &mut ResultStore,
+    obs: Option<&Obs>,
+    runner: impl FnOnce(&mut ResultStore, ExecHooks<'_>) -> Result<T, ScenarioError>,
+) -> Result<T, String> {
+    let progress_line = |e: CellEvent<'_>| {
+        let mut err = std::io::stderr().lock();
+        let _ = write!(
+            err,
+            "\r  {} cells executed, {} memoized (domain: {})",
+            e.executed, e.memoized, e.total
+        );
+        let _ = err.flush();
+    };
+    let journaling = options.resume || options.checkpoint_every.is_some();
+    let session = Session {
+        store: options.store.as_deref(),
+        journal_batch: journaling.then(|| options.checkpoint_every.unwrap_or(1)),
+        compact_over: options.compact_journal_over,
+        telemetry_batch: options.telemetry.then(|| {
+            options
+                .checkpoint_every
+                .unwrap_or(telemetry::DEFAULT_TELEMETRY_BATCH)
+        }),
+        obs,
+        on_cell: options
+            .progress
+            .then_some(&progress_line as &(dyn Fn(CellEvent<'_>) + Sync)),
+        cancel: None,
+    };
+    let persisted = session.run(store, runner).map_err(|e| e.to_string())?;
+    if options.progress {
+        eprintln!();
     }
-
-    /// Persists the final store: journaling sessions compact the
-    /// journal into the checkpoint; plain sessions save atomically.
-    /// The telemetry sidecar, if any, gets its final fsync — but a
-    /// sidecar I/O failure is a *warning*, never a reason to discard
-    /// the campaign's results: telemetry is advisory, and the store
-    /// save below must happen regardless.
-    fn close(self, quiet: bool) -> Result<(), String> {
-        let telemetry_warning = self.telemetry.and_then(|log| {
-            let log = log.into_inner().expect("telemetry lock poisoned");
-            let path = log.path().to_path_buf();
-            match log.finish() {
-                Ok(()) => {
-                    if !quiet {
-                        println!("telemetry appended: {}", path.display());
-                    }
-                    None
-                }
-                Err(e) => Some(e.to_string()),
-            }
-        });
-        if let Some(warning) = telemetry_warning {
-            eprintln!("campaign: warning: telemetry sidecar incomplete: {warning}");
+    // Telemetry is advisory: an incomplete sidecar is a warning, and
+    // the store was saved regardless.
+    match (persisted.telemetry_warning, &options.store) {
+        (Some(warning), _) => {
+            eprintln!("campaign: warning: telemetry sidecar incomplete: {warning}")
         }
-        match (self.journal, &self.store_path) {
-            (Some(journal), Some(path)) => {
-                let compactions = journal
-                    .into_inner()
-                    .expect("journal lock poisoned")
-                    .finish()
-                    .map_err(|e| e.to_string())?;
-                self.store
-                    .checkpoint_observed(path, self.obs.as_ref())
-                    .map_err(|e| e.to_string())?;
-                if !quiet {
-                    if compactions > 0 {
-                        println!(
-                            "checkpoint written: {} ({compactions} mid-run journal compactions)",
-                            path.display()
-                        );
-                    } else {
-                        println!("checkpoint written: {}", path.display());
-                    }
-                }
-            }
-            (None, Some(path)) => self
-                .store
-                .save_observed(path, self.obs.as_ref())
-                .map_err(|e| e.to_string())?,
-            _ => {}
-        }
-        finish_trace(self.obs.as_ref(), quiet);
-        Ok(())
+        (None, Some(store)) if options.telemetry && !options.quiet => println!(
+            "telemetry appended: {}",
+            telemetry::telemetry_path(store).display()
+        ),
+        _ => {}
     }
+    if let (Some(path), true, false) = (&options.store, journaling, options.quiet) {
+        match persisted.compactions {
+            0 => println!("checkpoint written: {}", path.display()),
+            n => println!(
+                "checkpoint written: {} ({n} mid-run journal compactions)",
+                path.display()
+            ),
+        }
+    }
+    finish_trace(obs, options.quiet);
+    persisted.outcome.map_err(|e| e.to_string())
 }
 
 /// Flushes the `--trace` file, if one was requested. Like telemetry,
@@ -1037,91 +995,27 @@ fn finish_trace(obs: Option<&Obs>, quiet: bool) {
     }
 }
 
-/// Builds the executor hooks for a session: the journal sink (when
-/// journaling), the telemetry sink (when `--telemetry`) and the
-/// `--progress` stderr heartbeat.
-macro_rules! session_hooks {
-    ($session:expr, $options:expr, $hooks:ident) => {
-        let journal_sink = |fp: &str, cell: &store::StoredCell| {
-            if let Some(journal) = &$session.journal {
-                journal
-                    .lock()
-                    .expect("journal lock poisoned")
-                    .append(fp, cell);
-            }
-        };
-        let timing_sink = |t: harness::exec::CellTiming<'_>| {
-            if let Some(log) = &$session.telemetry {
-                let mut log = log.lock().expect("telemetry lock poisoned");
-                match t.wall {
-                    Some(wall) => {
-                        log.record_fresh(t.fingerprint, t.scenario, wall, telemetry::now_ms())
-                    }
-                    None => log.record_hit(t.fingerprint, t.scenario, telemetry::now_ms()),
-                }
-            }
-        };
-        let progress_line = |p: ExecProgress| {
-            let mut err = std::io::stderr().lock();
-            let _ = write!(
-                err,
-                "\r  {} cells executed, {} memoized (domain: {})",
-                p.executed, p.memoized, p.total
-            );
-            let _ = err.flush();
-        };
-        let $hooks = ExecHooks {
-            progress: if $options.progress {
-                Some(&progress_line as &(dyn Fn(ExecProgress) + Sync))
-            } else {
-                None
-            },
-            on_result: if $session.journal.is_some() {
-                Some(&journal_sink as &(dyn Fn(&str, &store::StoredCell) + Sync))
-            } else {
-                None
-            },
-            on_timing: if $session.telemetry.is_some() {
-                Some(&timing_sink as &(dyn Fn(harness::exec::CellTiming<'_>) + Sync))
-            } else {
-                None
-            },
-            obs: $session.obs.as_ref(),
-            cancel: None,
-        };
-    };
-}
-
-/// Ends the `--progress` carriage-return line, if one was printed.
-fn end_progress(options: &Options) {
-    if options.progress {
-        eprintln!();
-    }
-}
-
 fn run_or_report(registry: &Registry, options: &Options) -> Result<u8, String> {
     let filter = Filter::parse(&options.filters)?;
-    let mut session = Session::open(options)?;
-    session_hooks!(session, options, hooks);
-    let campaign = run_campaign_with(
-        registry,
-        &options.scenarios,
-        &filter,
-        &ExecConfig {
-            threads: options.threads,
-            seed: options.seed,
-            replicates: options.replicates.unwrap_or(1),
-            keep_replicates: options.keep_replicates,
-        },
-        &mut session.store,
-        CellDomain::All,
-        hooks,
-    )
-    .map_err(|e| e.to_string())?;
-    end_progress(options);
+    let config = ExecConfig {
+        threads: options.threads,
+        seed: options.seed,
+        replicates: options.replicates.unwrap_or(1),
+        keep_replicates: options.keep_replicates,
+    };
+    let (mut store, replayed, obs) = open_store(options)?;
+    let campaign = run_session(options, &mut store, obs.as_ref(), |store, hooks| {
+        run_campaign_with(
+            registry,
+            &options.scenarios,
+            &filter,
+            &config,
+            store,
+            CellDomain::All,
+            hooks,
+        )
+    })?;
     write_artifacts(&campaign, options)?;
-    let replayed = session.replayed;
-    session.close(options.quiet)?;
     if options.command == "report" {
         print!("{}", report::evidence_summary(&campaign, registry));
         if campaign.replicates > 1 {
@@ -1204,8 +1098,7 @@ fn shard(options: &Options) -> Result<u8, String> {
     // manifest, not from local flags: every worker must claim shards of
     // the exact campaign that was planned.
     let registry = dist::registry_for(&manifest);
-    let mut session = Session::open(options)?;
-    session_hooks!(session, options, hooks);
+    let (mut store, _, obs) = open_store(options)?;
     let (campaign, steal_stats) = if options.steal {
         let lease_dir = options
             .leases
@@ -1214,32 +1107,25 @@ fn shard(options: &Options) -> Result<u8, String> {
         // `open` stamps the directory with this campaign's digest and
         // refuses stale lease directories from an earlier plan.
         let leases = dist::LeaseDir::open(&lease_dir, &manifest).map_err(|e| e.to_string())?;
-        let (campaign, stats) = dist::run_shard_stealing(
-            &registry,
-            &manifest,
-            index,
-            options.threads,
-            &mut session.store,
-            &leases,
-            hooks,
-        )
-        .map_err(|e| e.to_string())?;
+        let (campaign, stats) = run_session(options, &mut store, obs.as_ref(), |store, hooks| {
+            dist::run_shard_stealing(
+                &registry,
+                &manifest,
+                index,
+                options.threads,
+                store,
+                &leases,
+                hooks,
+            )
+        })?;
         (campaign, Some(stats))
     } else {
-        let campaign = dist::run_shard_with(
-            &registry,
-            &manifest,
-            index,
-            options.threads,
-            &mut session.store,
-            hooks,
-        )
-        .map_err(|e| e.to_string())?;
+        let campaign = run_session(options, &mut store, obs.as_ref(), |store, hooks| {
+            dist::run_shard_with(&registry, &manifest, index, options.threads, store, hooks)
+        })?;
         (campaign, None)
     };
-    end_progress(options);
     write_artifacts(&campaign, options)?;
-    session.close(options.quiet)?;
     print_cells(&campaign, options.quiet);
     print!(
         "shard {index}/{}: {} cells: {} executed, {} memoized (seed {})",
@@ -1570,8 +1456,8 @@ fn trace_cmd(options: &Options) -> Result<u8, String> {
 }
 
 /// Writes the campaign-shaped artifacts (JSON/CSV). The store itself
-/// is persisted by [`Session::close`] — checkpoint-compacted when
-/// journaling, atomically saved otherwise.
+/// is persisted by the [`Session`] in [`run_session`] —
+/// checkpoint-compacted when journaling, atomically saved otherwise.
 fn write_artifacts(campaign: &Campaign, options: &Options) -> Result<(), String> {
     if let Some(path) = &options.json {
         std::fs::write(path, report::campaign_json(campaign))

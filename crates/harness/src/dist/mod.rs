@@ -131,8 +131,8 @@ pub fn run_shard(
     )
 }
 
-/// [`run_shard`] with execution hooks (progress, crash-resume journal
-/// sink).
+/// [`run_shard`] with execution hooks (per-cell events, crash-resume
+/// journal sink).
 pub fn run_shard_with(
     registry: &Registry,
     manifest: &Manifest,

@@ -28,7 +28,9 @@
 //! single-process run.
 
 use crate::dist::plan::{check_drift, Manifest};
-use crate::exec::{run_campaign_with, Campaign, CellDomain, ExecConfig, ExecHooks, Shard};
+use crate::exec::{
+    run_campaign_with, Campaign, CellDomain, CellEvent, ExecConfig, ExecHooks, Shard,
+};
 use crate::registry::Registry;
 use crate::scenario::ScenarioError;
 use crate::store::ResultStore;
@@ -343,7 +345,7 @@ pub fn run_shard_stealing(
         .iter()
         .filter(|c| c.initial_shard == index)
         .chain(chunks.iter().filter(|c| c.initial_shard != index));
-    // The caller's progress hook sees campaign-level numbers: executed
+    // The caller's per-cell events carry campaign-level counts: executed
     // accumulates across chunks instead of resetting at every
     // per-chunk executor invocation, and the total is the whole lazy
     // cell space (the shard cannot know up front how much it will end
@@ -378,19 +380,20 @@ pub fn run_shard_stealing(
         let range = chunk.range.clone();
         let base = executed_so_far;
         let memo_base = memoized_so_far;
-        let accumulated = hooks.progress.map(|progress| {
-            move |p: crate::exec::ExecProgress| {
-                progress(crate::exec::ExecProgress {
-                    executed: base + p.executed,
-                    memoized: memo_base + p.memoized,
+        let rebased = hooks.on_cell.map(|on_cell| {
+            move |e: CellEvent<'_>| {
+                on_cell(CellEvent {
+                    executed: base + e.executed,
+                    memoized: memo_base + e.memoized,
                     total: campaign_lazy_cells,
+                    ..e
                 })
             }
         });
         let chunk_hooks = ExecHooks {
-            progress: accumulated
+            on_cell: rebased
                 .as_ref()
-                .map(|a| a as &(dyn Fn(crate::exec::ExecProgress) + Sync)),
+                .map(|r| r as &(dyn Fn(CellEvent<'_>) + Sync)),
             ..hooks
         };
         let piece = run_campaign_with(
@@ -550,12 +553,12 @@ mod tests {
         let dir = tempdir("lone");
         let leases = LeaseDir::open(&dir, &manifest).unwrap();
         let mut store = ResultStore::new();
-        // Progress must accumulate across chunk invocations (not reset
-        // per chunk) against the campaign-wide total.
+        // Per-cell counts must accumulate across chunk invocations (not
+        // reset per chunk) against the campaign-wide total.
         let seen = std::sync::Mutex::new(Vec::new());
-        let progress = |p: crate::exec::ExecProgress| {
-            assert_eq!(p.total, 8, "campaign-wide total");
-            seen.lock().unwrap().push(p.executed);
+        let on_cell = |e: CellEvent<'_>| {
+            assert_eq!(e.total, 8, "campaign-wide total");
+            seen.lock().unwrap().push(e.executed);
         };
         let (campaign, stats) = run_shard_stealing(
             &registry,
@@ -565,16 +568,15 @@ mod tests {
             &mut store,
             &leases,
             ExecHooks {
-                progress: Some(&progress),
+                on_cell: Some(&on_cell),
                 on_result: None,
-                on_timing: None,
                 obs: None,
                 cancel: None,
             },
         )
         .unwrap();
         let ticks = seen.into_inner().unwrap();
-        assert_eq!(ticks.len(), 8, "one heartbeat per executed cell");
+        assert_eq!(ticks.len(), 8, "one event per executed cell");
         assert_eq!(ticks.iter().max(), Some(&8), "accumulates to the campaign");
         assert!(stats.stolen_chunks > 0, "everything else must be stolen");
         assert_eq!(

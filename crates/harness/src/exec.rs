@@ -9,8 +9,11 @@
 //! buffer (no shared mutex on the hot path); the buffers are merged and
 //! sorted by global index afterwards, so the assembled campaign is
 //! identical whether one thread ran it or sixteen. [`ExecHooks`] expose
-//! the stream as it happens: a progress callback per executed cell and
-//! a result sink that feeds the crash-resume journal.
+//! the stream as it happens: one [`CellEvent`] per completed cell (the
+//! telemetry sidecar, `--progress` and serve job progress consume it)
+//! and a result sink that feeds the crash-resume journal. Opening,
+//! finishing and checkpointing those sidecars around a run is
+//! [`crate::session`]'s job.
 
 use crate::matrix::Filter;
 use crate::registry::Registry;
@@ -153,63 +156,55 @@ pub enum CellDomain<'a> {
     Ranges(&'a [Range<usize>]),
 }
 
-/// A progress heartbeat, emitted after every completed cell — freshly
-/// executed or memoized — so a consumer can track true completion
-/// (`executed + memoized` out of `total`), not just fresh work.
+/// One completed cell — freshly executed, failed or memoized — as the
+/// executor hands it to [`ExecHooks::on_cell`]. The counts let a
+/// consumer track true completion (`executed + memoized` out of
+/// `total`), not just fresh work. Wall-clock time lives only in this
+/// side channel, never in the result store, whose bytes must stay a
+/// deterministic function of the campaign.
 #[derive(Debug, Clone, Copy)]
-pub struct ExecProgress {
-    /// Fresh cells completed so far in this invocation.
+pub struct CellEvent<'a> {
+    /// The cell's store fingerprint.
+    pub fingerprint: &'a str,
+    /// Scenario id.
+    pub scenario: &'a str,
+    /// Measured wall-clock duration of the evaluation (failed ones
+    /// included); `None` for a memoized hit (an access, not an
+    /// execution).
+    pub wall: Option<std::time::Duration>,
+    /// The scenario returned an error for this cell: it has no result,
+    /// so the journal and the telemetry sidecar never see it.
+    pub failed: bool,
+    /// Fresh cells completed so far in this invocation, this one
+    /// included when it executed.
     pub executed: usize,
-    /// Memo hits seen so far in this invocation.
+    /// Memo hits seen so far in this invocation, this one included
+    /// when it was a hit.
     pub memoized: usize,
     /// Lazy cells in the swept domain (an upper bound on work: filtered
     /// or unowned cells are scanned but never executed).
     pub total: usize,
 }
 
-/// A progress callback (worker threads call it, hence `Sync`).
-pub type ProgressFn<'a> = &'a (dyn Fn(ExecProgress) + Sync);
-
 /// A per-result sink: `(fingerprint, stored cell)` for every fresh
 /// successful cell, as it completes.
 pub type ResultSink<'a> = &'a (dyn Fn(&str, &StoredCell) + Sync);
-
-/// One cell's timing observation, handed to the telemetry sink as the
-/// cell completes. Wall-clock time lives only in this side channel —
-/// never in the result store, whose bytes must stay a deterministic
-/// function of the campaign.
-#[derive(Debug, Clone, Copy)]
-pub struct CellTiming<'a> {
-    /// The cell's store fingerprint.
-    pub fingerprint: &'a str,
-    /// Scenario id.
-    pub scenario: &'a str,
-    /// Measured wall-clock duration of a fresh, successful evaluation;
-    /// `None` for a memoized hit (an access, not an execution).
-    pub wall: Option<std::time::Duration>,
-}
-
-/// A per-cell timing sink: every *successful* cell — fresh (with its
-/// measured duration) or memoized (access only) — as it completes.
-pub type TimingSink<'a> = &'a (dyn Fn(CellTiming<'_>) + Sync);
 
 /// Observability hooks into the execution stream. All callbacks are
 /// invoked from worker threads as cells complete; all default to
 /// no-ops.
 #[derive(Clone, Copy, Default)]
 pub struct ExecHooks<'a> {
-    /// Called after every completed cell (freshly executed or memoized).
-    pub progress: Option<ProgressFn<'a>>,
+    /// Called once per completed cell — fresh, failed or memoized —
+    /// with its [`CellEvent`]. Invocation order across cells is
+    /// scheduling-dependent; every consumer (the telemetry sidecar,
+    /// `--progress`, serve job progress) aggregates, so none cares.
+    pub on_cell: Option<&'a (dyn Fn(CellEvent<'_>) + Sync)>,
     /// Called with every fresh *successful* result as it completes,
     /// before the campaign is assembled — the crash-resume journal
     /// sink. Invocation order across cells is scheduling-dependent; the
     /// journal is a set, so replay does not care.
     pub on_result: Option<ResultSink<'a>>,
-    /// Called with every successful cell's timing — measured wall
-    /// clock for fresh cells, access-only for memoized hits — the
-    /// telemetry sidecar sink. Like `on_result`, invocation order is
-    /// scheduling-dependent and the sidecar aggregate does not care.
-    pub on_timing: Option<TimingSink<'a>>,
     /// Span/counter recorder ([`crate::obs`]): when set, the executor
     /// records `plan`, `worker`, `decode`, `memo` and `cell` spans plus
     /// memo-hit/miss and cells-executed counters. Purely observational
@@ -368,7 +363,6 @@ pub fn run_campaign_with(
                     continue;
                 };
                 drop(decode_span);
-                let id = space.specs()[cell.scenario].id;
                 if let Some(s) = shard {
                     match s.owns(&cell.fingerprint) {
                         Ok(false) => continue,
@@ -395,16 +389,13 @@ pub fn run_campaign_with(
                     obs.count(if memoized { "memo/hit" } else { "memo/miss" }, 1);
                 }
                 if memoized {
-                    if let Some(timing) = hooks.on_timing {
-                        timing(CellTiming {
-                            fingerprint: &cell.fingerprint,
-                            scenario: id,
-                            wall: None,
-                        });
-                    }
                     let memo = memo_cells.fetch_add(1, Ordering::Relaxed) + 1;
-                    if let Some(progress) = hooks.progress {
-                        progress(ExecProgress {
+                    if let Some(on_cell) = hooks.on_cell {
+                        on_cell(CellEvent {
+                            fingerprint: &cell.fingerprint,
+                            scenario: space.specs()[cell.scenario].id,
+                            wall: None,
+                            failed: false,
                             executed: executed_cells.load(Ordering::Relaxed),
                             memoized: memo,
                             total: scan_len,
@@ -428,26 +419,20 @@ pub fn run_campaign_with(
                     std::thread::sleep(delay);
                 }
                 let wall_ns = crate::obs::monotonic_ns().saturating_sub(started_ns);
-                let wall = std::time::Duration::from_nanos(wall_ns);
                 if let Some(obs) = hooks.obs {
                     obs.record_span("cell", "exec", started_ns, wall_ns);
                     obs.count("cells/executed", 1);
                 }
-                if let Ok(result) = &outcome {
-                    if let Some(sink) = hooks.on_result {
-                        sink(&cell.fingerprint, &space.record(&cell, result.clone()));
-                    }
-                    if let Some(timing) = hooks.on_timing {
-                        timing(CellTiming {
-                            fingerprint: &cell.fingerprint,
-                            scenario: id,
-                            wall: Some(wall),
-                        });
-                    }
+                if let (Ok(result), Some(sink)) = (&outcome, hooks.on_result) {
+                    sink(&cell.fingerprint, &space.record(&cell, result.clone()));
                 }
                 let executed = executed_cells.fetch_add(1, Ordering::Relaxed) + 1;
-                if let Some(progress) = hooks.progress {
-                    progress(ExecProgress {
+                if let Some(on_cell) = hooks.on_cell {
+                    on_cell(CellEvent {
+                        fingerprint: &cell.fingerprint,
+                        scenario: space.specs()[cell.scenario].id,
+                        wall: Some(std::time::Duration::from_nanos(wall_ns)),
+                        failed: outcome.is_err(),
                         executed,
                         memoized: memo_cells.load(Ordering::Relaxed),
                         total: scan_len,
@@ -958,17 +943,16 @@ mod tests {
             assert_eq!(cell.scenario, "toy");
             seen.lock().unwrap().push(fp.to_string());
         };
-        let progress = |p: ExecProgress| {
-            assert_eq!(p.total, 6);
-            peak.fetch_max(p.executed, Ordering::Relaxed);
-        };
-        let timings: Mutex<Vec<(String, bool)>> = Mutex::new(Vec::new());
-        let on_timing = |t: CellTiming<'_>| {
-            assert_eq!(t.scenario, "toy");
-            timings
+        let events: Mutex<Vec<(String, bool)>> = Mutex::new(Vec::new());
+        let on_cell = |e: CellEvent<'_>| {
+            assert_eq!(e.scenario, "toy");
+            assert_eq!(e.total, 6);
+            assert!(!e.failed);
+            peak.fetch_max(e.executed, Ordering::Relaxed);
+            events
                 .lock()
                 .unwrap()
-                .push((t.fingerprint.to_string(), t.wall.is_some()));
+                .push((e.fingerprint.to_string(), e.wall.is_some()));
         };
         let mut store = ResultStore::new();
         let campaign = run_campaign_with(
@@ -983,9 +967,8 @@ mod tests {
             &mut store,
             CellDomain::All,
             ExecHooks {
-                progress: Some(&progress),
+                on_cell: Some(&on_cell),
                 on_result: Some(&on_result),
-                on_timing: Some(&on_timing),
                 obs: None,
                 cancel: None,
             },
@@ -998,25 +981,26 @@ mod tests {
         let mut stored: Vec<String> = store.iter().map(|(fp, _)| fp.to_string()).collect();
         stored.sort();
         assert_eq!(fps, stored, "the sink must see exactly the fresh cells");
-        // Every fresh cell carried a measured duration.
-        let mut timed = timings.into_inner().unwrap();
+        // One event per fresh cell, each with a measured duration.
+        let mut timed = events.into_inner().unwrap();
         assert!(timed.iter().all(|(_, fresh)| *fresh));
         timed.sort();
         assert_eq!(
             timed.iter().map(|(fp, _)| fp.clone()).collect::<Vec<_>>(),
             stored,
-            "the timing sink must see exactly the fresh cells"
+            "the per-cell event must fire for exactly the fresh cells"
         );
 
         // A fully memoized rerun feeds the result sink nothing — and
-        // the timing sink sees pure accesses (no wall clock).
+        // its events are pure accesses (no wall clock).
         let count = AtomicUsize::new(0);
         let counting = |_: &str, _: &StoredCell| {
             count.fetch_add(1, Ordering::Relaxed);
         };
         let hit_count = AtomicUsize::new(0);
-        let counting_timing = |t: CellTiming<'_>| {
-            assert!(t.wall.is_none(), "memoized hits carry no duration");
+        let counting_hits = |e: CellEvent<'_>| {
+            assert!(e.wall.is_none(), "memoized hits carry no duration");
+            assert_eq!((e.executed, e.total), (0, 6));
             hit_count.fetch_add(1, Ordering::Relaxed);
         };
         run_campaign_with(
@@ -1031,9 +1015,8 @@ mod tests {
             &mut store,
             CellDomain::All,
             ExecHooks {
-                progress: None,
+                on_cell: Some(&counting_hits),
                 on_result: Some(&counting),
-                on_timing: Some(&counting_timing),
                 obs: None,
                 cancel: None,
             },
@@ -1074,11 +1057,11 @@ mod tests {
         assert_eq!(err, ScenarioError::Cancelled);
         assert!(store.is_empty());
 
-        // Cancelling from the progress hook after the first cell: the
+        // Cancelling from the per-cell event after the first cell: the
         // single worker finishes the cell in hand, stops pulling, and
         // the completed work is still assembled into the store.
         let cancel = AtomicBool::new(false);
-        let progress = |_: ExecProgress| cancel.store(true, Ordering::Relaxed);
+        let on_cell = |_: CellEvent<'_>| cancel.store(true, Ordering::Relaxed);
         let err = run_campaign_with(
             &registry(),
             &[],
@@ -1091,7 +1074,7 @@ mod tests {
             &mut store,
             CellDomain::All,
             ExecHooks {
-                progress: Some(&progress),
+                on_cell: Some(&on_cell),
                 cancel: Some(&cancel),
                 ..ExecHooks::default()
             },

@@ -2,7 +2,7 @@
 //!
 //! Each gen-backed scenario is a fresh instantiation of the paper's
 //! template, declared as a first-class
-//! [`TemplateInstance`](predictability_core::template::TemplateInstance)
+//! [`predictability_core::template::TemplateInstance`]
 //! — the same type the `core::catalog` uses for the paper's Tables 1
 //! and 2 — and its cell metrics are *computed through* that instance:
 //! the quality slot is dispatched to the matching

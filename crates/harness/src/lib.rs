@@ -33,8 +33,9 @@
 //!   on the fly and buffer outcomes in private per-worker slots (no
 //!   shared lock on the hot path); deterministic per-cell seeding and
 //!   global-index assembly make results identical whether the campaign
-//!   ran on one thread or sixteen. [`exec::ExecHooks`] stream progress
-//!   and completed results out as they happen.
+//!   ran on one thread or sixteen. [`exec::ExecHooks`] stream one
+//!   [`exec::CellEvent`] per completed cell and every fresh result out
+//!   as they happen.
 //! * [`store`] — the memoizing [`ResultStore`]: completed cells are
 //!   keyed by a fingerprint of `(schema, scenario, params, seed)` and
 //!   persist as deterministic JSON; re-running a campaign executes only
@@ -44,6 +45,12 @@
 //!   campaign resumes from the last completed cell via
 //!   [`ResultStore::open_resumable`], and `checkpoint()` compacts the
 //!   pair atomically.
+//! * [`session`] — the persistence policy around one run: a
+//!   [`Session`] opens the journal and the telemetry sidecar, hands the
+//!   runner its hooks, and persists the store whatever the runner
+//!   returns (checkpoint when journaling, atomic save otherwise). CLI
+//!   `run`/`report`/`shard` and serve's `submit` all run through it, so
+//!   a failing cell never discards its completed siblings.
 //! * [`obs`] — the engine instrumentation layer: named
 //!   monotonic-clock spans and counters around the whole campaign
 //!   lifecycle (plan, decode, memo lookup, journal append/fsync,
@@ -55,7 +62,7 @@
 //! * [`telemetry`] — the wall-clock sidecar: an append-only,
 //!   fsync-batched event log beside the store (`store.json.telemetry`)
 //!   recording per-cell measured durations and last-hit access
-//!   timestamps via [`exec::ExecHooks::on_timing`] — keeping time out
+//!   timestamps from each [`exec::CellEvent`] — keeping time out
 //!   of the byte-deterministic store while feeding measured cost
 //!   calibration (`plan --calibrate`), steal-aware merge reports
 //!   (`merge --report`) and age-based GC (`gc --max-age-days`).
@@ -137,14 +144,15 @@ pub mod report;
 pub mod scenario;
 pub mod scenarios;
 pub mod serve;
+pub mod session;
 pub mod space;
 pub mod store;
 pub mod telemetry;
 
 pub use dist::{diff_stores, merge_stores, DiffReport, LeaseDir, Manifest, Tolerances};
 pub use exec::{
-    run_campaign, run_campaign_with, Campaign, CampaignCell, CellDomain, ExecConfig, ExecHooks,
-    ExecProgress, Shard,
+    run_campaign, run_campaign_with, Campaign, CampaignCell, CellDomain, CellEvent, ExecConfig,
+    ExecHooks, Shard,
 };
 pub use expect::{fold_results, replicate_seed, Accumulator, Moments, DERIVED_SUFFIXES};
 pub use gen::{Corpus, GenOptions};
@@ -153,6 +161,7 @@ pub use obs::Obs;
 pub use registry::Registry;
 pub use scenario::{Axis, CellResult, Params, Scenario, ScenarioError, ScenarioSpec};
 pub use serve::{ServeOptions, ServeSummary, Server, ServerHandle};
+pub use session::{Persisted, Session};
 pub use space::CampaignSpace;
 pub use store::{CompactingJournal, Journal, OpenedStore, ResultStore, StoreFormat};
 pub use telemetry::{Telemetry, TelemetryLog};

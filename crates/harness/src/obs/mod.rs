@@ -17,10 +17,10 @@
 //! * **Counters**: named monotonic tallies (memo hits and misses,
 //!   cells executed, fsync batches, steal contention).
 //!
-//! The trace file is written through the store's shared
-//! [`crate::store::AppendLog`] machinery: one event per line, flushed
-//! per append, fsync'd per batch, sticky errors surfaced at the end —
-//! so a crashed run still leaves a loadable trace with at most a torn
+//! The trace file is written through the append-only log machinery
+//! behind [`crate::store::Journal`]: one event per line, flushed per
+//! append, fsync'd per batch, sticky errors surfaced at the end — so a
+//! crashed run still leaves a loadable trace with at most a torn
 //! final line, which both Perfetto and [`trace::load_trace`] tolerate.
 //!
 //! Everything here is *observational*: attaching an [`Obs`] (with or
@@ -112,10 +112,12 @@ struct ObsState {
 }
 
 /// The shared span/counter recorder. Clones share one underlying
-/// state, so a single handle threaded through [`crate::exec::ExecHooks`]
-/// collects from every worker thread at once.
+/// state, so a single handle handed to a [`crate::session::Session`]
+/// (which threads it through [`crate::exec::ExecHooks`], the journal
+/// and the telemetry sidecar) collects from every worker thread at
+/// once.
 ///
-/// Invariant: the trace [`AppendLog`] held *inside* the recorder is
+/// Invariant: the trace `AppendLog` held *inside* the recorder is
 /// never itself observed (no `observe` back-reference) — recording a
 /// span holds the state lock while appending the trace line, and a
 /// re-entrant recording would deadlock.

@@ -3,7 +3,7 @@
 //! The trace file an [`crate::obs::Obs`] writes is the Chrome
 //! trace-event JSON-array format (loadable in Perfetto and
 //! `chrome://tracing`), laid out one event per line so it can stream
-//! through the store's [`crate::store::AppendLog`]:
+//! through the store's shared append-only log machinery:
 //!
 //! ```text
 //! [

@@ -17,9 +17,10 @@
 //!   the store or its lock — a running submit cannot stall them.
 //! * **Submits** enqueue to a single background scheduler thread that
 //!   runs each campaign on the existing streaming executor
-//!   ([`crate::exec::run_campaign_with`]) with crash-resume journaling
-//!   ([`crate::store::CompactingJournal`], so week-long submit streams
-//!   compact mid-run), checkpoints, and atomically publishes a fresh
+//!   ([`crate::exec::run_campaign_with`]) inside a
+//!   [`crate::session::Session`] — crash-resume journaling (compacted
+//!   mid-run, so week-long submit streams stay bounded) and a
+//!   checkpoint whatever the outcome — and atomically publishes a fresh
 //!   index — readers see the old cells or the new cells, never a
 //!   half-built state.
 //! * **Shutdown** is graceful: stop accepting, drain in-flight
@@ -27,8 +28,8 @@
 //!   cells are journaled, so a resubmit resumes), checkpoint, fsync,
 //!   release the [`lock::StoreLock`].
 //!
-//! Because a submitted campaign runs on the same executor, journal and
-//! checkpoint writer as a batch `campaign run`, the store a daemon
+//! Because a submitted campaign runs through the same session (executor,
+//! journal, checkpoint writer) as a batch `campaign run`, the store a daemon
 //! leaves behind is byte-identical to the batch run's — the invariant
 //! the process-level suite and the CI serve gate pin.
 //!
@@ -51,7 +52,7 @@ pub mod index;
 pub mod lock;
 pub mod top;
 
-use crate::exec::{run_campaign_with, CellDomain, ExecConfig, ExecHooks, ExecProgress};
+use crate::exec::{run_campaign_with, CellDomain, CellEvent, ExecConfig};
 use crate::gen::{GenOptions, DEFAULT_CORPUS_SIZE};
 use crate::json::Json;
 use crate::matrix::Filter;
@@ -60,7 +61,8 @@ use crate::obs::{monotonic_ns, Obs};
 use crate::registry::Registry;
 use crate::report;
 use crate::scenario::{CellResult, Params, ScenarioError};
-use crate::store::{CompactingJournal, ResultStore, StoredCell};
+use crate::session::{unpoison, Session};
+use crate::store::ResultStore;
 use index::StoreIndex;
 use lock::{LockInfo, StoreLock};
 use std::collections::{BTreeMap, VecDeque};
@@ -68,7 +70,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Duration;
 
 /// Every protocol op, in dispatch order. Each gets its own latency
@@ -180,14 +182,15 @@ impl JobStatus {
     }
 }
 
-/// Live progress of one job: the scheduler's `ExecHooks::progress`
-/// callback stores into these cells from worker threads, and the
-/// `stats`/`jobs` ops read them without taking the job lock for long.
+/// Live progress of one job: the session's per-cell consumer stores
+/// each [`CellEvent`]'s counts into these cells from worker threads,
+/// and the `stats`/`jobs` ops read them without taking the job lock for
+/// long.
 #[derive(Debug, Default)]
 struct JobProgress {
     /// Cells completed so far (fresh + memoized).
     cells_done: AtomicU64,
-    /// Lazy cells in the job's domain (0 until the first heartbeat).
+    /// Lazy cells in the job's domain (0 until the first cell event).
     cells_total: AtomicU64,
     /// Wall-clock start (`telemetry::now_ms`); 0 while queued.
     started_ms: AtomicU64,
@@ -554,15 +557,6 @@ impl ServerInner {
         }
         ring.push_back(entry);
     }
-}
-
-/// Takes a lock's guard even when the lock is poisoned. Every critical
-/// section on these locks (counter bumps, queue and ring pushes, record
-/// inserts, `Arc` swaps, journal appends) leaves the state valid at each
-/// step, so a handler that panics while holding one leaves it usable and
-/// later requests keep being served instead of panicking in turn.
-fn unpoison<G>(result: LockResult<G>) -> G {
-    result.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Flips the daemon into shutdown: drop queued jobs, cancel the
@@ -1344,8 +1338,8 @@ fn scheduler_loop(inner: &Arc<ServerInner>) {
     }
 }
 
-/// Runs one submitted campaign: same executor, same journal, same
-/// checkpoint writer as a batch `campaign run` — which is why the
+/// Runs one submitted campaign through the same [`Session`] as a batch
+/// `campaign run` (executor, journal, checkpoint) — which is why the
 /// resulting store is byte-identical to the batch run's. Returns
 /// `Ok(false)` when shutdown cancelled the job mid-run (completed
 /// cells are persisted either way).
@@ -1367,64 +1361,49 @@ fn run_job(
         .store
         .lock()
         .map_err(|_| ScenarioError::Store("store lock poisoned".to_string()))?;
-    let mut journal = CompactingJournal::open(
-        &inner.store_path,
-        inner.options.checkpoint_every,
-        inner.options.compact_journal_over,
-        &store,
-    )?;
-    if let Some(obs) = &inner.obs {
-        journal.observe(obs);
-    }
-    let journal = Mutex::new(journal);
-    let journal_sink = |fp: &str, cell: &StoredCell| {
-        unpoison(journal.lock()).append(fp, cell);
-    };
     // Stream completion (fresh + memoized) into the job's progress
     // cells so `stats`/`jobs`/`top` can watch the run live.
-    let progress_sink = |p: ExecProgress| {
+    let progress_sink = |e: CellEvent<'_>| {
         progress
             .cells_done
-            .store((p.executed + p.memoized) as u64, Ordering::Relaxed);
+            .store((e.executed + e.memoized) as u64, Ordering::Relaxed);
         progress
             .cells_total
-            .store(p.total as u64, Ordering::Relaxed);
+            .store(e.total as u64, Ordering::Relaxed);
     };
-    let outcome = run_campaign_with(
-        &registry,
-        &job.scenarios,
-        &filter,
-        &ExecConfig {
-            threads: inner.options.exec_threads,
-            seed: job.seed,
-            replicates: job.replicates.unwrap_or(1),
-            keep_replicates: job.keep_replicates,
-        },
-        &mut store,
-        CellDomain::All,
-        ExecHooks {
-            progress: Some(&progress_sink),
-            on_result: Some(&journal_sink),
-            obs: inner.obs.as_ref(),
-            cancel: Some(&inner.cancel),
-            ..ExecHooks::default()
-        },
-    );
-    unpoison(journal.into_inner()).finish()?;
-    let completed = match outcome {
-        Ok(_) => true,
-        Err(ScenarioError::Cancelled) => false,
-        Err(e) => {
-            // The error cell never journaled, but completed siblings
-            // did: checkpoint and publish them before surfacing.
-            store.checkpoint_observed(&inner.store_path, inner.obs.as_ref())?;
-            inner.publish(&store);
-            return Err(e);
-        }
+    let session = Session {
+        store: Some(&inner.store_path),
+        journal_batch: Some(inner.options.checkpoint_every),
+        compact_over: inner.options.compact_journal_over,
+        telemetry_batch: None,
+        obs: inner.obs.as_ref(),
+        on_cell: Some(&progress_sink),
+        cancel: Some(&inner.cancel),
     };
-    store.checkpoint_observed(&inner.store_path, inner.obs.as_ref())?;
+    let persisted = session.run(&mut store, |store, hooks| {
+        run_campaign_with(
+            &registry,
+            &job.scenarios,
+            &filter,
+            &ExecConfig {
+                threads: inner.options.exec_threads,
+                seed: job.seed,
+                replicates: job.replicates.unwrap_or(1),
+                keep_replicates: job.keep_replicates,
+            },
+            store,
+            CellDomain::All,
+            hooks,
+        )
+    })?;
+    // Completed cells are checkpointed whatever the outcome; publish
+    // them before surfacing a cell's error.
     inner.publish(&store);
-    Ok(completed)
+    match persisted.outcome {
+        Ok(_) => Ok(true),
+        Err(ScenarioError::Cancelled) => Ok(false),
+        Err(e) => Err(e),
+    }
 }
 
 #[cfg(test)]
@@ -1599,7 +1578,7 @@ mod tests {
             corpus_size: DEFAULT_CORPUS_SIZE,
             corpus_seed: 42,
         });
-        run_campaign_with(
+        crate::exec::run_campaign(
             &registry,
             &["pipeline-domino".to_string()],
             &Filter::all(),
@@ -1609,8 +1588,6 @@ mod tests {
                 ..ExecConfig::default()
             },
             &mut batch,
-            CellDomain::All,
-            ExecHooks::default(),
         )
         .unwrap();
         let batch_path = dir.join("batch.json");

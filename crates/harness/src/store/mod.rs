@@ -752,11 +752,6 @@ impl AppendLog {
         self.obs = Some((obs.clone(), prefix));
     }
 
-    /// The log file's location.
-    pub(crate) fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Complete lines in the file (pre-existing ones included).
     pub(crate) fn lines(&self) -> usize {
         self.lines
@@ -835,7 +830,7 @@ impl Journal {
     /// fsyncing every `batch` appended cells (`0` is treated as 1).
     ///
     /// A torn final line (a kill mid-append) is *healed* here (see
-    /// [`AppendLog::open`]): the file is truncated back to its last
+    /// `AppendLog::open`): the file is truncated back to its last
     /// complete record before appending resumes. Replay merely
     /// tolerates the torn tail; without the truncation, the first
     /// fresh append would concatenate onto the partial bytes and
@@ -845,11 +840,6 @@ impl Journal {
         Ok(Journal {
             log: AppendLog::open(journal_path(store_path), batch)?,
         })
-    }
-
-    /// The journal file's location.
-    pub fn path(&self) -> &Path {
-        self.log.path()
     }
 
     /// Complete cell lines currently in the journal file — lines
@@ -875,11 +865,6 @@ impl Journal {
             ("cell".into(), cell.to_json()),
         ]);
         self.log.append_line(&line.compact());
-    }
-
-    /// Forces any unsynced batch to disk.
-    pub fn sync(&mut self) {
-        self.log.sync();
     }
 
     /// Final sync; surfaces the first I/O failure of the journal's
@@ -953,16 +938,6 @@ impl CompactingJournal {
         self.obs = Some(obs.clone());
     }
 
-    /// The journal file's location.
-    pub fn path(&self) -> std::path::PathBuf {
-        journal_path(&self.store_path)
-    }
-
-    /// Mid-run compactions performed so far.
-    pub fn compactions(&self) -> usize {
-        self.compactions
-    }
-
     /// Appends one completed cell, folding the journal into the
     /// checkpoint first if it has outgrown the threshold. Failures are
     /// recorded, not returned — check [`CompactingJournal::finish`].
@@ -1017,13 +992,6 @@ impl CompactingJournal {
             let dur = crate::obs::monotonic_ns().saturating_sub(start);
             obs.record_span("journal/compact", "store", start, dur);
             obs.count("journal/compactions", 1);
-        }
-    }
-
-    /// Forces any unsynced batch to disk.
-    pub fn sync(&mut self) {
-        if let Some(journal) = &mut self.journal {
-            journal.sync();
         }
     }
 
@@ -1761,8 +1729,7 @@ mod tests {
         }
         // 5 appends over a threshold of 2: the journal folded at least
         // once, and the sidecar never outgrew threshold + 1 lines.
-        assert!(journal.compactions() >= 1);
-        let jpath = journal.path();
+        let jpath = journal_path(&path);
         let compactions = journal.finish().unwrap();
         assert!(compactions >= 1);
         let lines = std::fs::read_to_string(&jpath).unwrap().lines().count();

@@ -278,10 +278,11 @@ fn parse_event(doc: &Json) -> Result<Option<Event>, String> {
 
 /// The append-only telemetry event log beside a store: one event per
 /// JSON line, flushed on every append, fsync'd every `batch` events,
-/// torn tail healed on open — the [`AppendLog`] machinery the journal
-/// uses, pointed at the `.telemetry` sidecar. I/O failures are sticky
-/// and surfaced by [`TelemetryLog::finish`], so the executor's timing
-/// sink (called from worker threads) never has to unwind.
+/// torn tail healed on open — the append-log machinery behind
+/// [`crate::store::Journal`], pointed at the `.telemetry` sidecar. I/O
+/// failures are sticky and surfaced by [`TelemetryLog::finish`], so the
+/// executor's per-cell callback (called from worker threads) never has
+/// to unwind.
 #[derive(Debug)]
 pub struct TelemetryLog {
     log: AppendLog,
@@ -294,11 +295,6 @@ impl TelemetryLog {
         Ok(TelemetryLog {
             log: AppendLog::open(telemetry_path(store_path), batch)?,
         })
-    }
-
-    /// The log file's location.
-    pub fn path(&self) -> &Path {
-        self.log.path()
     }
 
     /// Attaches a span recorder: appends and fsync batches show up as
@@ -317,11 +313,6 @@ impl TelemetryLog {
     pub fn record_hit(&mut self, fp: &str, scenario: &str, at_ms: u64) {
         self.log
             .append_line(&event_line(fp, scenario, 0, 0.0, at_ms));
-    }
-
-    /// Forces any unsynced batch to disk.
-    pub fn sync(&mut self) {
-        self.log.sync();
     }
 
     /// Final sync; surfaces the first I/O failure of the log's

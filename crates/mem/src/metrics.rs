@@ -25,7 +25,7 @@
 //! FIFO: evict = `2k-1`, fill = `3k-1`. MRU: fill does not exist
 //! (reported as `None`). PLRU (k=4): evict = 5, fill = 9 — both worse
 //! than LRU's 4, which is the formal core of the recommendation in the
-//! paper's Table 1 row on future architectures [29] to prefer LRU.
+//! paper's Table 1 row on future architectures \[29\] to prefer LRU.
 
 use crate::policy::{BlockId, Policy};
 use std::collections::BTreeSet;

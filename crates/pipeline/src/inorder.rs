@@ -1,6 +1,6 @@
 //! A compositional in-order scalar pipeline (ARM7 class).
 //!
-//! The paper's Table 1 row on future architectures [29] recommends
+//! The paper's Table 1 row on future architectures \[29\] recommends
 //! "compositional architectures, such as the ARM7", which "do not have
 //! domino effects and exhibit little state-induced variation in
 //! execution time". This model makes that precise: the entry state can

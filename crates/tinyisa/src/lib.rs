@@ -21,7 +21,7 @@
 //! * [`exec`] — the functional interpreter producing execution traces
 //!   ([`exec::TraceOp`]) that the cycle-level models consume
 //!   (trace-driven timing simulation).
-//! * [`cfg`] — basic blocks, control-flow graph, natural loops.
+//! * [`mod@cfg`] — basic blocks, control-flow graph, natural loops.
 //! * [`kernels`] — hand-written workload kernels (sorting, searching,
 //!   matrix multiply, …) with loop-bound annotations.
 //! * [`codegen`] — a seeded generator of random structured programs for
