@@ -2,7 +2,6 @@
 //! fill per policy, computed by uncertainty-set exploration.
 
 use mem_hierarchy::metrics::{compute_metrics, PredictabilityMetrics};
-use mem_hierarchy::policy::{Bounded, Fifo, Lru, Mru, Plru};
 
 /// One row: a policy at one associativity.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -15,46 +14,24 @@ pub struct MetricsRow {
     pub metrics: PredictabilityMetrics,
 }
 
-/// Computes the table for associativities 2 and 4 (matching the known
-/// closed forms; larger `k` explodes combinatorially in debug builds).
+/// Computes the table for associativities 2 and 4, with `3k+2`
+/// accesses (16 for MRU).
 pub fn rows() -> Vec<MetricsRow> {
     let mut out = Vec::new();
-    for k in [2usize, 4] {
-        let budget = 3 * k as u32 + 2;
-        out.push(MetricsRow {
-            policy: "LRU",
-            assoc: k,
-            metrics: compute_metrics(
-                &Bounded {
-                    inner: Lru,
-                    assoc: k,
-                },
-                k,
-                budget,
-            ),
-        });
-        out.push(MetricsRow {
-            policy: "FIFO",
-            assoc: k,
-            metrics: compute_metrics(
-                &Bounded {
-                    inner: Fifo,
-                    assoc: k,
-                },
-                k,
-                budget,
-            ),
-        });
-        out.push(MetricsRow {
-            policy: "PLRU",
-            assoc: k,
-            metrics: compute_metrics(&Plru, k, budget),
-        });
-        out.push(MetricsRow {
-            policy: "MRU",
-            assoc: k,
-            metrics: compute_metrics(&Mru, k, budget.max(16)),
-        });
+    for assoc in [2usize, 4] {
+        let budget = 3 * assoc as u32 + 2;
+        for (policy, budget) in [
+            ("LRU", budget),
+            ("FIFO", budget),
+            ("PLRU", budget),
+            ("MRU", budget.max(16)),
+        ] {
+            out.push(MetricsRow {
+                policy,
+                assoc,
+                metrics: compute_metrics(policy, assoc, budget).expect("known policy"),
+            });
+        }
     }
     out
 }
@@ -99,17 +76,26 @@ mod tests {
                     assert_eq!(r.metrics.evict, Some(2 * k - 1));
                     assert_eq!(r.metrics.fill, Some(3 * k - 1));
                 }
-                "MRU" => assert_eq!(r.metrics.fill, None),
+                "MRU" => {
+                    assert_eq!(r.metrics.evict, Some(2 * k - 2));
+                    assert_eq!(r.metrics.fill, None);
+                }
                 "PLRU" => {
-                    // PLRU(2) == LRU(2); PLRU(4) strictly worse than LRU(4).
-                    if k == 2 {
-                        assert_eq!(r.metrics.evict, Some(2));
-                    } else {
-                        assert!(r.metrics.evict.unwrap() > 4);
-                    }
+                    // (k/2)·log2 k + 1 and (k/2)·log2 k + k - 1: PLRU(2)
+                    // equals LRU(2), PLRU(4) is worse than LRU(4).
+                    let tree = k / 2 * k.ilog2();
+                    assert_eq!(r.metrics.evict, Some(tree + 1));
+                    assert_eq!(r.metrics.fill, Some(tree + k - 1));
                 }
                 _ => unreachable!(),
             }
         }
+    }
+
+    #[test]
+    fn mru3_evict_matches_closed_form() {
+        let m = compute_metrics("MRU", 3, 16).unwrap();
+        assert_eq!(m.evict, Some(4));
+        assert_eq!(m.fill, None);
     }
 }

@@ -1,7 +1,7 @@
 //! Cache replacement-policy predictability (`mem-hierarchy`).
 
 use crate::scenario::{Axis, CellResult, Params, Scenario, ScenarioError, ScenarioSpec};
-use mem_hierarchy::metrics::compute_metrics_by_name;
+use mem_hierarchy::metrics::compute_metrics;
 
 /// Reineke et al.'s evict/fill metrics across replacement policies and
 /// associativities — the paper's Section 4 exemplar of an *inherent*
@@ -36,13 +36,12 @@ impl Scenario for CacheEvictFill {
         // 3k+2 accesses cover every known closed form (FIFO fills at
         // 3k-1); what is still unreached by then is reported as absent
         // (MRU's fill provably never exists).
-        let metrics =
-            compute_metrics_by_name(policy, assoc, 3 * assoc as u32 + 2).ok_or_else(|| {
-                ScenarioError::BadParam {
-                    axis: "policy".to_string(),
-                    value: policy.to_string(),
-                }
-            })?;
+        let metrics = compute_metrics(policy, assoc, 3 * assoc as u32 + 2).ok_or_else(|| {
+            ScenarioError::BadParam {
+                axis: "policy".to_string(),
+                value: policy.to_string(),
+            }
+        })?;
         let mut out = Vec::new();
         if let Some(e) = metrics.evict {
             out.push(("evict".to_string(), e as f64));

@@ -12,8 +12,8 @@
 //!   simulator and by exhaustive state-space exploration.
 //! * [`cache`] — a parametric set-associative cache simulator.
 //! * [`metrics`] — the *evict*/*fill* predictability metrics of Reineke
-//!   et al., computed by uncertainty-set exploration (the "optimal
-//!   analysis" the paper demands made concrete).
+//!   et al., computed by orbit-reduced uncertainty-set exploration (the
+//!   "optimal analysis" the paper demands made concrete).
 //! * [`analysis`] — abstract must/may cache analysis for LRU
 //!   (Ferdinand-style), classifying accesses as always-hit /
 //!   always-miss / unclassified.
@@ -38,5 +38,5 @@ pub mod spm;
 pub mod trace;
 
 pub use cache::{AccessResult, Cache, CacheConfig};
-pub use metrics::{compute_metrics, compute_metrics_by_name, PredictabilityMetrics};
+pub use metrics::{compute_metrics, PredictabilityMetrics};
 pub use policy::{Fifo, Lru, Mru, Plru, Policy, RandomPolicy};

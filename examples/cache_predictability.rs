@@ -1,11 +1,10 @@
 //! Cache-policy predictability: the evict/fill metrics of Reineke et
-//! al. computed by exhaustive uncertainty-set exploration, plus a
+//! al. computed by orbit-reduced uncertainty-set exploration, plus a
 //! must-analysis classification of a real kernel.
 
 use predictability_repro::mem::analysis::{analyze_icache, InitialCache};
 use predictability_repro::mem::cache::CacheConfig;
 use predictability_repro::mem::metrics::compute_metrics;
-use predictability_repro::mem::policy::{Bounded, Fifo, Lru, Mru, Plru};
 use predictability_repro::tinyisa::cfg::Cfg;
 use predictability_repro::tinyisa::kernels;
 
@@ -13,25 +12,13 @@ fn main() {
     println!("evict / fill by uncertainty-set exploration (k = 4):");
     let k = 4usize;
     let budget = 3 * k as u32 + 2;
-    let lru = compute_metrics(
-        &Bounded {
-            inner: Lru,
-            assoc: k,
-        },
-        k,
-        budget,
-    );
-    let fifo = compute_metrics(
-        &Bounded {
-            inner: Fifo,
-            assoc: k,
-        },
-        k,
-        budget,
-    );
-    let plru = compute_metrics(&Plru, k, budget);
-    let mru = compute_metrics(&Mru, k, 16);
-    for (name, m) in [("LRU", lru), ("FIFO", fifo), ("PLRU", plru), ("MRU", mru)] {
+    for (name, budget) in [
+        ("LRU", budget),
+        ("FIFO", budget),
+        ("PLRU", budget),
+        ("MRU", 16),
+    ] {
+        let m = compute_metrics(name, k, budget).expect("known policy");
         println!(
             "  {name:<5} evict = {:>4}  fill = {:>4}   ({} initial states explored)",
             m.evict.map_or("inf".into(), |v| v.to_string()),
