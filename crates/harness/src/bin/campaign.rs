@@ -37,9 +37,9 @@
 //! With `--checkpoint-every N` every completed cell is appended to an
 //! append-only journal beside the store (fsync'd every N cells), and a
 //! campaign killed mid-run resumes with `--resume` from the last
-//! completed cell — zero recompute. `shard --steal` executes through
-//! the lease-file work-stealing protocol instead of the static
-//! partition.
+//! completed cell — zero recompute. `shard` runs its initial lease of
+//! the manifest's chunk map; `shard --steal` claims it through the
+//! lease-file work-stealing protocol and then steals unclaimed chunks.
 //!
 //! Exit status: 0 on success; 1 when `diff` finds differences; 2 on
 //! any error (bad usage, unknown scenario id, bad filter or tolerance
@@ -217,23 +217,23 @@ distributed campaigns:
   plan   --shards N --manifest PATH [--scenario]... [--filter]...
          [--seed S] [--corpus-size N] [--replicates N]
          [--calibrate STORE]
-         partition the campaign into N shards; write the manifest
-         (records per-scenario digests, cost weights, the replicate
-         multiplier and the corpus identity); shards run the raw
-         replicate cells and `merge --manifest` folds them, so the
-         merged store is byte-identical to a single-process
-         `run --replicates N`; --calibrate derives the cost weights
-         from a prior
-         (e.g. committed baseline) store — from its *measured* per-cell
-         wall-clock telemetry when a <STORE>.telemetry sidecar
-         accompanies it, falling back to the metric-magnitude proxy
+         write the manifest (records per-scenario digests, cost
+         weights, the replicate multiplier and the corpus identity)
+         and print each shard's initial lease of cost-balanced chunks;
+         shards run the raw replicate cells and `merge --manifest`
+         folds them, so the merged store is byte-identical to a
+         single-process `run --replicates N`; --calibrate takes the
+         cost weights from the measured per-cell wall clock in
+         STORE's telemetry sidecar (<STORE>.telemetry), and errors if
+         there is none or it times none of the selected scenarios
   shard  --manifest PATH --index I [--store PATH] [--threads N]
          [--steal] [--leases DIR]
-         run exactly shard I against its own store (the registry and
-         corpus are rebuilt from the manifest; drift errors name the
-         drifted scenarios); --steal turns the static assignment into
-         an initial lease and steals unleased chunks through lease
-         files (default DIR: <manifest>.leases next to the manifest).
+         run shard I's initial lease against its own store (the
+         registry and corpus are rebuilt from the manifest; drift
+         errors name the drifted scenarios); --steal claims the lease
+         chunk by chunk and then steals the other shards' unclaimed
+         chunks through lease files (default DIR: <manifest>.leases
+         next to the manifest).
          Leases belong to one campaign attempt: a stale lease dir from
          an earlier plan is rejected, and after a crashed attempt you
          remove the dir and re-run all shards with --resume (journaled
@@ -1045,39 +1045,25 @@ fn plan(registry: &Registry, options: &Options) -> Result<u8, String> {
         .manifest
         .as_deref()
         .ok_or("plan needs --manifest PATH")?;
-    // The baseline store, and — when a telemetry sidecar accompanies it
-    // — the measured durations that outrank the metric proxy.
-    let (baseline, baseline_telemetry) = match &options.calibrate {
-        Some(p) => (
-            Some(ResultStore::load_required(p).map_err(|e| e.to_string())?),
-            Some(Telemetry::load_for_store(p).map_err(|e| e.to_string())?),
-        ),
-        None => (None, None),
-    };
-    let (manifest, shard_counts, source) = dist::plan_calibrated_with(
+    let manifest = dist::plan_calibrated_with(
         registry,
         &options.scenarios,
         &options.filters,
         options.seed,
         shards,
         options.replicates.unwrap_or(1),
-        baseline.as_ref(),
-        baseline_telemetry.as_ref(),
+        options.calibrate.as_deref(),
     )
     .map_err(|e| e.to_string())?;
     manifest.save(path).map_err(|e| e.to_string())?;
     if !options.quiet {
-        print!("{}", report::plan_summary(&manifest, &shard_counts));
-        match source {
-            dist::WeightSource::WallClock => println!(
+        let chunks = dist::chunk_map(registry, &manifest).map_err(|e| e.to_string())?;
+        print!("{}", report::plan_summary(&manifest, &chunks));
+        if let Some(store) = &options.calibrate {
+            println!(
                 "  weights calibrated from wall-clock telemetry ({})",
-                telemetry::telemetry_path(options.calibrate.as_deref().unwrap_or(Path::new("")))
-                    .display()
-            ),
-            dist::WeightSource::MetricProxy => {
-                println!("  weights calibrated from the metric-magnitude proxy")
-            }
-            dist::WeightSource::Unit => {}
+                telemetry::telemetry_path(store).display()
+            );
         }
     }
     println!("manifest written to {}", path.display());
@@ -1091,7 +1077,7 @@ fn shard(options: &Options) -> Result<u8, String> {
         .ok_or("shard needs --manifest PATH")?;
     let index = options.index.ok_or("shard needs --index I")?;
     if options.leases.is_some() && !options.steal {
-        return Err("--leases needs --steal (the static partition uses no lease files)".into());
+        return Err("--leases needs --steal (a static shard uses no lease files)".into());
     }
     let manifest = dist::Manifest::load(path).map_err(|e| e.to_string())?;
     // The registry (and its generated corpus) is rebuilt from the

@@ -14,6 +14,7 @@ use crate::dist::plan::{check_drift_observing, Manifest};
 use crate::dist::steal::{chunk_map, Chunk, LeaseDir};
 use crate::registry::Registry;
 use crate::scenario::ScenarioError;
+use crate::space::Cell;
 use crate::store::{ResultStore, StoredCell};
 use crate::telemetry::Telemetry;
 
@@ -126,18 +127,23 @@ pub fn verify_coverage(
     store: &ResultStore,
 ) -> Result<(), ScenarioError> {
     let mut planned = 0usize;
-    let mut first_missing: Option<String> = None;
+    let mut first_missing: Option<Cell> = None;
     check_drift_observing(registry, manifest, &mut |cell| {
         planned += 1;
         if first_missing.is_none() && !store.contains(&cell.fingerprint) {
-            first_missing = Some(format!(
-                "merged store is missing planned cell {} ({} {}) — shard {} lost?",
-                cell.fingerprint, cell.scenario, cell.params, cell.shard
-            ));
+            first_missing = Some(cell);
         }
     })?;
-    if let Some(missing) = first_missing {
-        return Err(ScenarioError::Dist(missing));
+    if let Some(cell) = first_missing {
+        // Name the shard whose initial lease held the cell.
+        let shard = chunk_map(registry, manifest)?
+            .iter()
+            .find(|chunk| chunk.range.contains(&cell.global))
+            .map_or(0, |chunk| chunk.initial_shard);
+        return Err(ScenarioError::Dist(format!(
+            "merged store is missing planned cell {} ({} {}) — shard {shard} lost?",
+            cell.fingerprint, manifest.scenarios[cell.scenario], cell.params
+        )));
     }
     if store.len() != planned {
         return Err(ScenarioError::Dist(format!(
@@ -154,8 +160,8 @@ pub fn verify_coverage(
 /// keyed by the base fingerprint, exactly as a single-process
 /// full-domain run folds at completion — so after this pass the merged
 /// store is byte-identical to the single-process store. Shard runs
-/// never fold themselves (a partition sees only the replicates it
-/// owns), which is why the fold lives here, after the fuse and after
+/// never fold themselves (a chunk boundary may split a replicate
+/// group), which is why the fold lives here, after the fuse and after
 /// [`verify_coverage`] has proven every raw replicate present. Raw
 /// replicate cells are removed unless `keep_replicates`. Returns the
 /// number of fold cells produced (0 for an unreplicated manifest).
@@ -278,7 +284,9 @@ pub struct StealReport {
     pub shards: u32,
     /// Every planned chunk, in chunk-id order, with its lease holder.
     pub chunks: Vec<ChunkLease>,
-    /// Per-shard planned-vs-realized balance, indexed by shard.
+    /// Planned-vs-realized balance of every shard that leases or wins
+    /// a chunk, ascending by shard (a shard with neither has nothing to
+    /// report, so a huge shard count costs nothing here).
     pub shards_balance: Vec<ShardBalance>,
     /// Per merge input, the measured cost of what it executed.
     pub inputs: Vec<InputWall>,
@@ -315,24 +323,20 @@ pub fn steal_report(
         let holder = leases.holder(chunk.id)?;
         leased.push(ChunkLease { chunk, holder });
     }
-    let mut balance: Vec<ShardBalance> = (0..manifest.shards)
-        .map(|shard| ShardBalance {
-            shard,
-            ..ShardBalance::default()
-        })
-        .collect();
+    let mut balance: std::collections::BTreeMap<u32, ShardBalance> = Default::default();
     for lease in &leased {
-        let planned = &mut balance[lease.chunk.initial_shard as usize];
+        let planned = balance.entry(lease.chunk.initial_shard).or_default();
         planned.leased_chunks += 1;
         planned.leased_cells += lease.chunk.range.len();
         if let Some(holder) = lease.holder {
-            let winner = balance.get_mut(holder as usize).ok_or_else(|| {
-                ScenarioError::Dist(format!(
+            if holder >= manifest.shards {
+                return Err(ScenarioError::Dist(format!(
                     "lease for chunk {} names shard {holder}, but the manifest plans only {} \
                      shards — stale lease directory?",
                     lease.chunk.id, manifest.shards
-                ))
-            })?;
+                )));
+            }
+            let winner = balance.entry(holder).or_default();
             winner.won_chunks += 1;
             winner.won_cells += lease.chunk.range.len();
             if lease.stolen() {
@@ -351,7 +355,10 @@ pub fn steal_report(
     Ok(StealReport {
         shards: manifest.shards,
         chunks: leased,
-        shards_balance: balance,
+        shards_balance: balance
+            .into_iter()
+            .map(|(shard, b)| ShardBalance { shard, ..b })
+            .collect(),
         inputs,
     })
 }
@@ -465,6 +472,24 @@ mod tests {
     }
 
     #[test]
+    fn steal_report_lists_only_shards_that_lease_or_win() {
+        use crate::dist;
+        let registry = Registry::builtin();
+        let manifest =
+            dist::plan(&registry, &["pipeline-domino".into()], &[], 42, u32::MAX).unwrap();
+        let dir = std::env::temp_dir().join(format!("harness-stealhuge-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let leases = LeaseDir::open(&dir, &manifest).unwrap();
+        let top = u32::MAX - 1;
+        assert!(leases.claim(0, top).unwrap());
+        let report = steal_report(&registry, &manifest, &leases, &[]).unwrap();
+        let shards: Vec<u32> = report.shards_balance.iter().map(|b| b.shard).collect();
+        assert_eq!(shards, [0, 1, 2, 3, top], "4 leased shards and the winner");
+        assert_eq!(report.shards_balance[4].stolen_chunks, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn replicated_shards_fold_to_the_single_process_store() {
         use crate::dist::{self, plan_calibrated_with};
         use crate::exec::{run_campaign, ExecConfig};
@@ -473,8 +498,7 @@ mod tests {
 
         let registry = Registry::builtin();
         let select = vec!["pipeline-domino".to_string(), "dram-refresh".to_string()];
-        let (manifest, _, _) =
-            plan_calibrated_with(&registry, &select, &[], 13, 2, 8, None, None).unwrap();
+        let manifest = plan_calibrated_with(&registry, &select, &[], 13, 2, 8, None).unwrap();
 
         let mut shard_stores = Vec::new();
         for index in 0..manifest.shards {
@@ -515,8 +539,7 @@ mod tests {
 
         let registry = Registry::builtin();
         let select = vec!["pipeline-domino".to_string()];
-        let (manifest, _, _) =
-            plan_calibrated_with(&registry, &select, &[], 3, 1, 4, None, None).unwrap();
+        let manifest = plan_calibrated_with(&registry, &select, &[], 3, 1, 4, None).unwrap();
         let mut store = ResultStore::new();
         dist::run_shard(&registry, &manifest, 0, 1, &mut store).unwrap();
         assert_eq!(store.len(), 16);
@@ -526,8 +549,7 @@ mod tests {
         assert_eq!(store.iter().filter(|(_, c)| c.fold).count(), 4);
 
         // replicates == 1: nothing to fold, the store is untouched.
-        let (plain, _, _) =
-            plan_calibrated_with(&registry, &select, &[], 3, 1, 1, None, None).unwrap();
+        let plain = plan_calibrated_with(&registry, &select, &[], 3, 1, 1, None).unwrap();
         let mut plain_store = ResultStore::new();
         dist::run_shard(&registry, &plain, 0, 1, &mut plain_store).unwrap();
         let before = plain_store.to_json().pretty();

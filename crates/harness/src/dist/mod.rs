@@ -6,19 +6,19 @@
 //! [`CampaignSpace`](crate::space::CampaignSpace) (see
 //! [`Manifest::space`]), the same index space the executor runs:
 //!
-//! * [`plan()`] / [`plan_calibrated_with`] — deterministically partition
-//!   the campaign into N disjoint shards by cell fingerprint and
-//!   capture it in a small [`Manifest`] (cell counts, fingerprint
-//!   digests, cost weights, replicates); any worker holding the
-//!   manifest computes the identical partition, so there is no
-//!   coordinator.
+//! * [`plan()`] / [`plan_calibrated_with`] — capture the campaign in a
+//!   small [`Manifest`] (cell counts, fingerprint digests, cost
+//!   weights, replicates, shard count). The partition is the manifest's
+//!   [`chunk_map`]: cost-weighted chunks of the index space, each with
+//!   a deterministic initial shard. Any worker holding the manifest
+//!   computes the identical map, so there is no coordinator.
 //! * [`run_shard`] / [`run_shard_with`] — the worker mode: checks for
-//!   registry drift, then runs exactly shard `i/N` (thread-fanned
-//!   inside the process) against its own [`ResultStore`].
-//! * [`run_shard_stealing`] — dynamic work stealing: the static
-//!   partition becomes an *initial lease* over cost-weighted chunks of
-//!   the index space ([`chunk_map`]), and idle shards steal unleased
-//!   chunks through atomic lease files ([`LeaseDir`]).
+//!   registry drift, then runs the chunks of shard `i/N`'s initial
+//!   lease (thread-fanned inside the process) against its own
+//!   [`ResultStore`].
+//! * [`run_shard_stealing`] — dynamic work stealing: a shard claims its
+//!   initial lease chunk by chunk, then steals the other shards'
+//!   unclaimed chunks through atomic lease files ([`LeaseDir`]).
 //! * [`merge_stores`] / [`merge_stores_owned_observed`] — fuse shard
 //!   stores into one canonical store, aborting on fingerprint
 //!   collisions with conflicting results (a determinism violation);
@@ -46,8 +46,7 @@
 //!
 //! // Plan 2 shards of a 3-replicate campaign, run each shard against
 //! // its own store, merge, check coverage, fold the replicates.
-//! let (manifest, _, _) =
-//!     dist::plan_calibrated_with(&registry, &select, &[], 42, 2, 3, None, None).unwrap();
+//! let manifest = dist::plan_calibrated_with(&registry, &select, &[], 42, 2, 3, None).unwrap();
 //! let mut shard_stores = Vec::new();
 //! for index in 0..manifest.shards {
 //!     let mut store = ResultStore::new();
@@ -83,13 +82,11 @@ pub use merge::{
     steal_report, MergeStats, StealReport,
 };
 pub use plan::{
-    calibrate_weights, calibrate_weights_wall, plan, plan_calibrated, plan_calibrated_with,
-    planned_cells, visit_planned_cells, CorpusPlan, Manifest, PlannedCell, ScenarioPlan,
-    WeightSource,
+    calibrate_weights_wall, plan, plan_calibrated_with, CorpusPlan, Manifest, ScenarioPlan,
 };
 pub use steal::{chunk_map, run_shard_stealing, Chunk, LeaseDir, StealStats};
 
-use crate::exec::{run_campaign_with, Campaign, CellDomain, ExecConfig, ExecHooks, Shard};
+use crate::exec::{run_campaign_with, Campaign, CellDomain, ExecHooks};
 use crate::gen::GenOptions;
 use crate::registry::Registry;
 use crate::scenario::ScenarioError;
@@ -113,7 +110,9 @@ pub fn registry_for(manifest: &Manifest) -> Registry {
 
 /// Runs exactly shard `index` of the manifest's campaign: validates the
 /// index, re-streams the matrix, errors on registry drift, then
-/// executes the owned cells (thread-fanned) against `store`.
+/// executes the chunks of the shard's initial lease (thread-fanned)
+/// against `store`. A shard whose lease is empty (more shards than
+/// chunks) returns an empty campaign.
 pub fn run_shard(
     registry: &Registry,
     manifest: &Manifest,
@@ -132,7 +131,8 @@ pub fn run_shard(
 }
 
 /// [`run_shard`] with execution hooks (per-cell events, crash-resume
-/// journal sink).
+/// journal sink). The whole lease runs in one executor call, so
+/// `threads` parallelises across chunks.
 pub fn run_shard_with(
     registry: &Registry,
     manifest: &Manifest,
@@ -141,22 +141,20 @@ pub fn run_shard_with(
     store: &mut ResultStore,
     hooks: ExecHooks<'_>,
 ) -> Result<Campaign, ScenarioError> {
-    let shard = Shard::new(index, manifest.shards)?;
-    plan::check_drift(registry, manifest)?;
+    // Chunk ids ascend with their ranges, so the lease's ranges are
+    // ascending and disjoint, as `CellDomain::Ranges` requires.
+    let lease: Vec<std::ops::Range<usize>> = steal::shard_chunks(registry, manifest, index)?
+        .into_iter()
+        .filter(|chunk| chunk.initial_shard == index)
+        .map(|chunk| chunk.range)
+        .collect();
     run_campaign_with(
         registry,
         &manifest.scenarios,
         &manifest.parsed_filter()?,
-        &ExecConfig {
-            threads,
-            seed: manifest.seed,
-            replicates: manifest.replicates,
-            // Shard runs never fold (the merge engine folds once all
-            // shards' raw replicates are fused), so the raws must stay.
-            keep_replicates: true,
-        },
+        &manifest.exec_config(threads),
         store,
-        CellDomain::Shard(shard),
+        CellDomain::Ranges(&lease),
         hooks,
     )
 }
@@ -170,7 +168,10 @@ mod tests {
         let registry = Registry::builtin();
         let manifest = plan(&registry, &["pipeline-domino".into()], &[], 0, 2).unwrap();
         let err = run_shard(&registry, &manifest, 2, 1, &mut ResultStore::new()).unwrap_err();
-        assert!(matches!(err, ScenarioError::Dist(_)));
+        assert_eq!(
+            err,
+            ScenarioError::Dist("shard index 2 out of range (count 2)".into())
+        );
     }
 
     #[test]

@@ -1,32 +1,32 @@
 //! The shard planner and campaign manifest.
 //!
-//! [`plan`] deterministically partitions the scenario matrices into N
-//! disjoint shards by cell fingerprint and captures everything a
-//! worker needs — scenario ids, filter clauses, campaign seed, shard
-//! count, schema version — in a [`Manifest`]. The manifest is small on
-//! purpose: workers re-expand the matrix themselves, so shard `i/N` can
-//! be claimed by any process that holds the manifest and the same
-//! registry, with no coordinator in the loop. The planned cell count
-//! *and a digest of every planned fingerprint* are recorded so registry
-//! drift (a scenario whose matrix, version or axis values changed since
-//! planning) is detected instead of silently producing a partial or
-//! mispartitioned merge.
+//! [`plan`] captures everything a worker needs — scenario ids, filter
+//! clauses, campaign seed, replicates, shard count, schema version — in
+//! a [`Manifest`]. The manifest is small on purpose: workers re-expand
+//! the campaign themselves and cut the same chunk map from it
+//! ([`crate::dist::chunk_map`]), whose deterministic initial leases are
+//! the shard partition. So shard `i/N` can be claimed by any process
+//! that holds the manifest and the same registry, with no coordinator
+//! in the loop. The planned cell count *and a digest of every planned
+//! fingerprint* are recorded so registry drift (a scenario whose
+//! matrix, version or axis values changed since planning) is detected
+//! instead of silently producing a partial merge.
 //!
 //! Planning is *streaming*: cells are decoded one at a time from the
 //! campaign's [`CampaignSpace`] and folded into counts and digests — a
 //! plan over a multi-million-cell gen sweep never materializes a cell
-//! list. The manifest also carries per-scenario *cost weights*
-//! (optionally calibrated from a committed baseline store) which the
-//! work-stealing layer uses to size its initial leases; weights are
-//! advisory and never affect results.
+//! list. The manifest also carries per-scenario *cost weights* — unit,
+//! or with `--calibrate` the measured mean cell durations from a prior
+//! campaign's telemetry sidecar — which size the chunks and balance the
+//! initial leases; weights never affect results.
 
-use crate::exec::shard_of;
+use crate::exec::ExecConfig;
 use crate::json::Json;
 use crate::matrix::Filter;
 use crate::registry::Registry;
-use crate::scenario::{Params, ScenarioError};
+use crate::scenario::ScenarioError;
 use crate::space::{CampaignSpace, Cell};
-use crate::store::ResultStore;
+use crate::telemetry::{telemetry_path, Telemetry};
 use std::path::Path;
 
 /// Bump when the manifest layout or the shard assignment rule changes;
@@ -37,8 +37,10 @@ use std::path::Path;
 /// 3 — per-scenario cost weights (the work-stealing layer's initial
 /// lease balance);
 /// 4 — the replicate multiplier (`--replicates N` enters the planned
-/// index space, so every worker expands the same replicated matrix).
-pub const MANIFEST_SCHEMA: u32 = 4;
+/// index space, so every worker expands the same replicated matrix);
+/// 5 — the chunk map is the only shard partition: a static shard runs
+/// its initial-lease chunks instead of a fingerprint-hash slice.
+pub const MANIFEST_SCHEMA: u32 = 5;
 
 /// One scenario's slice of the plan: enough to attribute drift to a
 /// scenario by name instead of reporting bare campaign-level numbers.
@@ -50,8 +52,8 @@ pub struct ScenarioPlan {
     pub cells: usize,
     /// Digest of this scenario's planned fingerprints, in plan order.
     pub digest: String,
-    /// Relative per-cell cost weight (1.0 = baseline). Advisory: sizes
-    /// the work-stealing chunks and initial leases, never results.
+    /// Relative per-cell cost weight (1.0 = baseline). Sizes the chunks
+    /// and balances the initial leases, never affects results.
     pub weight: f64,
 }
 
@@ -76,12 +78,12 @@ pub struct CorpusPlan {
 pub struct Manifest {
     /// The campaign seed every cell seed derives from.
     pub seed: u64,
-    /// Number of shards the cell set is partitioned into.
+    /// Number of shards the chunk map leases the campaign to.
     pub shards: u32,
     /// Replicates per base cell (1 = the unreplicated matrix). Above
     /// one, every scenario matrix is multiplied by the fastest-varying
     /// [`crate::matrix::REP_AXIS`] and the planned counts, digests and
-    /// shard assignments all range over the replicate cells.
+    /// chunks all range over the replicate cells.
     pub replicates: u32,
     /// Resolved scenario ids, in campaign (registration) order.
     pub scenarios: Vec<String>,
@@ -92,7 +94,7 @@ pub struct Manifest {
     /// Digest of every planned cell fingerprint, in plan order. Catches
     /// count-preserving registry drift (a version bump or axis-value
     /// rename leaves the cell count intact but changes every
-    /// fingerprint — and therefore the partition).
+    /// fingerprint — and therefore the planned cell set).
     pub digest: String,
     /// Per-scenario counts, digests and cost weights, in campaign
     /// order; lets drift errors name the scenarios that moved.
@@ -135,25 +137,6 @@ impl Default for FingerprintDigest {
     }
 }
 
-/// One cell of the planned partition.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlannedCell {
-    /// Scenario id.
-    pub scenario: String,
-    /// Cell coordinates.
-    pub params: Params,
-    /// The derived cell seed.
-    pub seed: u64,
-    /// The cell's store fingerprint.
-    pub fingerprint: String,
-    /// The shard that owns the cell (static partition).
-    pub shard: u32,
-    /// Position in the campaign's global lazy index space (scenarios
-    /// in campaign order, matrices row-major) — the coordinate the
-    /// work-stealing chunks lease by.
-    pub global: usize,
-}
-
 impl Manifest {
     /// Parses the stored filter clauses.
     pub fn parsed_filter(&self) -> Result<Filter, ScenarioError> {
@@ -167,6 +150,20 @@ impl Manifest {
             .iter()
             .find(|s| s.id == scenario_id)
             .map_or(1.0, |s| s.weight)
+    }
+
+    /// The executor configuration every shard runs this manifest's cells
+    /// under: the manifest's seed and replicates, so every shard expands
+    /// the same replicated matrix. Shard runs sweep chunk ranges, which
+    /// never fold (the merge engine folds once all shards' raw
+    /// replicates are fused), so the raws stay.
+    pub fn exec_config(&self, threads: usize) -> ExecConfig {
+        ExecConfig {
+            threads,
+            seed: self.seed,
+            replicates: self.replicates,
+            keep_replicates: true,
+        }
     }
 
     /// The campaign index space this manifest plans, resolved against
@@ -231,7 +228,7 @@ impl Manifest {
 
     /// Deserializes a manifest; unlike the result store, a schema
     /// mismatch is an error — a worker must never run a partition rule
-    /// it does not implement.
+    /// it does not implement, so an older manifest must be re-planned.
     pub fn from_json(doc: &Json) -> Result<Manifest, ScenarioError> {
         let bad = |what: &str| ScenarioError::Dist(format!("manifest: bad {what}"));
         // Exact non-negative integer within [0, max]: out-of-range or
@@ -242,7 +239,7 @@ impl Manifest {
         let schema = doc.get("schema").and_then(Json::as_f64).unwrap_or(0.0) as u32;
         if schema != MANIFEST_SCHEMA {
             return Err(ScenarioError::Dist(format!(
-                "manifest schema {schema} != supported {MANIFEST_SCHEMA}"
+                "manifest: schema {schema} != supported {MANIFEST_SCHEMA} — re-plan"
             )));
         }
         let seed = doc
@@ -357,38 +354,6 @@ impl Manifest {
     }
 }
 
-/// The planner's view of a space cell: its scenario id and the shard
-/// that owns it under the static partition.
-fn planned(
-    space: &CampaignSpace<'_>,
-    cell: Cell,
-    shards: u32,
-) -> Result<PlannedCell, ScenarioError> {
-    Ok(PlannedCell {
-        scenario: space.specs()[cell.scenario].id.to_string(),
-        shard: shard_of(&cell.fingerprint, shards)?,
-        params: cell.params,
-        seed: cell.seed,
-        fingerprint: cell.fingerprint,
-        global: cell.global,
-    })
-}
-
-/// Streams the manifest's planned cells in the executor's
-/// deterministic order, invoking `visit` per matching cell; no caller
-/// ever holds a materialized cell list.
-pub fn visit_planned_cells(
-    registry: &Registry,
-    manifest: &Manifest,
-    visit: &mut dyn FnMut(PlannedCell) -> Result<(), ScenarioError>,
-) -> Result<(), ScenarioError> {
-    let space = manifest.space(registry)?;
-    for cell in space.cells() {
-        visit(planned(&space, cell, manifest.shards)?)?;
-    }
-    Ok(())
-}
-
 /// Cell counts and fingerprint digests of a planned campaign, whole and
 /// per scenario: what a manifest records and the drift check
 /// recomputes.
@@ -400,11 +365,7 @@ struct Tally {
 
 /// One streaming pass over the space: tallies every cell and hands it
 /// to `observe`.
-fn tally(
-    space: &CampaignSpace<'_>,
-    shards: u32,
-    observe: &mut dyn FnMut(&PlannedCell),
-) -> Result<Tally, ScenarioError> {
+fn tally(space: &CampaignSpace<'_>, observe: &mut dyn FnMut(Cell)) -> Tally {
     let mut tally = Tally {
         cells: 0,
         digest: FingerprintDigest::new(),
@@ -416,71 +377,16 @@ fn tally(
         let (count, digest) = &mut tally.per_scenario[cell.scenario];
         *count += 1;
         digest.update(&cell.fingerprint);
-        observe(&planned(space, cell, shards)?);
+        observe(cell);
     }
-    Ok(tally)
-}
-
-/// Materializes the manifest's planned cells (a collecting wrapper over
-/// [`visit_planned_cells`] for callers that genuinely need the list —
-/// tests, mostly; production paths stream).
-pub fn planned_cells(
-    registry: &Registry,
-    manifest: &Manifest,
-) -> Result<Vec<PlannedCell>, ScenarioError> {
-    let mut cells = Vec::new();
-    visit_planned_cells(registry, manifest, &mut |cell| {
-        cells.push(cell);
-        Ok(())
-    })?;
-    Ok(cells)
-}
-
-/// Derives a scenario's per-cell cost weight from a prior store: the
-/// mean magnitude of its cells' metrics, a crude but dependency-free
-/// work proxy (bigger simulated quantities — cycles, task times, bound
-/// widths — correlate with longer cell evaluations). Returns `None`
-/// when the store holds no cells of the scenario. Weights are advisory:
-/// they shape work-stealing chunk sizes and the initial lease balance,
-/// and can never affect campaign results.
-pub fn scenario_cost_proxy(baseline: &ResultStore, scenario_id: &str) -> Option<f64> {
-    let mut cells = 0usize;
-    let mut magnitude = 0.0f64;
-    for (_, cell) in baseline.iter() {
-        if cell.scenario == scenario_id {
-            cells += 1;
-            magnitude += cell
-                .result
-                .metrics
-                .iter()
-                .map(|(_, v)| v.abs())
-                .sum::<f64>();
-        }
-    }
-    (cells > 0).then(|| magnitude / cells as f64)
-}
-
-/// Where a plan's per-scenario cost weights came from — reported by the
-/// CLI so an operator can tell a wall-clock-calibrated plan from the
-/// proxy fallback at a glance. The manifest itself is agnostic: weights
-/// are plain numbers whatever their source (schema unchanged).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WeightSource {
-    /// No baseline: every scenario weighs 1.0.
-    Unit,
-    /// Mean metric magnitude per cell — the dependency-free proxy.
-    MetricProxy,
-    /// Measured mean wall-clock duration per cell, from the baseline
-    /// store's telemetry sidecar.
-    WallClock,
+    tally
 }
 
 /// Per-scenario cost weights from *measured* wall-clock telemetry: each
 /// covered scenario's weight is its mean recorded cell duration,
 /// normalized so the cheapest covered scenario weighs 1.0; scenarios
 /// the sidecar never timed weigh 1.0. Returns `None` when the telemetry
-/// covers none of the selection — the caller then falls back to the
-/// metric-magnitude proxy ([`calibrate_weights`]).
+/// covers none of the selection.
 pub fn calibrate_weights_wall(
     telemetry: &crate::telemetry::Telemetry,
     scenario_ids: &[String],
@@ -502,32 +408,10 @@ pub fn calibrate_weights_wall(
     })
 }
 
-/// Per-scenario cost weights for a selection, calibrated from a
-/// baseline store and normalized so the cheapest calibrated scenario
-/// weighs 1.0; scenarios absent from the baseline weigh 1.0.
-pub fn calibrate_weights(baseline: &ResultStore, scenario_ids: &[String]) -> Vec<f64> {
-    let proxies: Vec<Option<f64>> = scenario_ids
-        .iter()
-        .map(|id| scenario_cost_proxy(baseline, id).filter(|m| *m > 0.0))
-        .collect();
-    let floor = proxies
-        .iter()
-        .flatten()
-        .copied()
-        .fold(f64::INFINITY, f64::min);
-    proxies
-        .into_iter()
-        .map(|p| match p {
-            Some(m) if floor.is_finite() => m / floor,
-            _ => 1.0,
-        })
-        .collect()
-}
-
-/// Plans a campaign into `shards` disjoint shards: validates selection,
-/// filter and shard count exactly like a run would, then records the
-/// resolved scenario ids, matched cell count and fingerprint digest in
-/// a [`Manifest`]. Unit cost weights; see [`plan_calibrated`].
+/// Plans a campaign for `shards` shards: validates selection, filter
+/// and shard count exactly like a run would, then records the resolved
+/// scenario ids, matched cell count and fingerprint digest in a
+/// [`Manifest`]. Unit cost weights; see [`plan_calibrated_with`].
 pub fn plan(
     registry: &Registry,
     select: &[String],
@@ -535,39 +419,16 @@ pub fn plan(
     seed: u64,
     shards: u32,
 ) -> Result<Manifest, ScenarioError> {
-    plan_calibrated(registry, select, filter_clauses, seed, shards, None).map(|(m, _)| m)
+    plan_calibrated_with(registry, select, filter_clauses, seed, shards, 1, None)
 }
 
-/// [`plan`] with optional cost calibration from a baseline store, also
-/// returning the per-shard planned cell counts (the partition balance)
-/// — everything computed in one streaming pass, no materialized cells.
-pub fn plan_calibrated(
-    registry: &Registry,
-    select: &[String],
-    filter_clauses: &[String],
-    seed: u64,
-    shards: u32,
-    baseline: Option<&ResultStore>,
-) -> Result<(Manifest, Vec<usize>), ScenarioError> {
-    plan_calibrated_with(
-        registry,
-        select,
-        filter_clauses,
-        seed,
-        shards,
-        1,
-        baseline,
-        None,
-    )
-    .map(|(m, counts, _)| (m, counts))
-}
-
-/// [`plan_calibrated`] with the measured-duration upgrade: when the
-/// baseline store's telemetry sidecar times at least one selected
-/// scenario, the weights come from *wall-clock means* instead of the
-/// metric-magnitude proxy; otherwise the proxy (or unit weights with no
-/// baseline at all). Also reports which source won.
-#[allow(clippy::too_many_arguments)]
+/// [`plan`] over a replicated matrix, with optional cost calibration:
+/// `calibrate` names a store whose telemetry sidecar times the selected
+/// scenarios, and the weights become their measured mean cell
+/// durations ([`calibrate_weights_wall`]). A missing sidecar, or one
+/// that times none of the selected scenarios, is an error naming the
+/// sidecar — never a silent fall back to unit weights. One streaming
+/// pass, no materialized cells.
 pub fn plan_calibrated_with(
     registry: &Registry,
     select: &[String],
@@ -575,9 +436,8 @@ pub fn plan_calibrated_with(
     seed: u64,
     shards: u32,
     replicates: u32,
-    baseline: Option<&ResultStore>,
-    telemetry: Option<&crate::telemetry::Telemetry>,
-) -> Result<(Manifest, Vec<usize>, WeightSource), ScenarioError> {
+    calibrate: Option<&Path>,
+) -> Result<Manifest, ScenarioError> {
     if shards == 0 {
         return Err(ScenarioError::Dist("shard count must be >= 1".into()));
     }
@@ -597,19 +457,29 @@ pub fn plan_calibrated_with(
             })
     });
     let ids: Vec<String> = specs.iter().map(|s| s.id.to_string()).collect();
-    let (weights, source) = match baseline {
-        Some(store) => match telemetry.and_then(|t| calibrate_weights_wall(t, &ids)) {
-            Some(w) => (w, WeightSource::WallClock),
-            None => (calibrate_weights(store, &ids), WeightSource::MetricProxy),
-        },
-        None => (vec![1.0; ids.len()], WeightSource::Unit),
+    let weights = match calibrate {
+        Some(store) => {
+            let sidecar = telemetry_path(store);
+            if !sidecar.exists() {
+                return Err(ScenarioError::Dist(format!(
+                    "--calibrate: no telemetry sidecar at {} — run the calibration campaign \
+                     with --telemetry",
+                    sidecar.display()
+                )));
+            }
+            calibrate_weights_wall(&Telemetry::load(&sidecar)?, &ids).ok_or_else(|| {
+                ScenarioError::Dist(format!(
+                    "--calibrate: telemetry sidecar {} times none of the selected scenarios ({})",
+                    sidecar.display(),
+                    ids.join(", ")
+                ))
+            })?
+        }
+        None => vec![1.0; ids.len()],
     };
 
-    let mut shard_counts = vec![0usize; shards as usize];
-    let tally = tally(&space, shards, &mut |cell| {
-        shard_counts[cell.shard as usize] += 1;
-    })?;
-    let manifest = Manifest {
+    let tally = tally(&space, &mut |_| {});
+    Ok(Manifest {
         seed,
         shards,
         replicates,
@@ -629,14 +499,13 @@ pub fn plan_calibrated_with(
             })
             .collect(),
         corpus,
-    };
-    Ok((manifest, shard_counts, source))
+    })
 }
 
 /// Re-streams the manifest's campaign and errors if the registry has
 /// drifted since plan time: a different cell count (matrix grew or
 /// shrank), a different fingerprint digest (version bump, axis-value
-/// rename — anything that silently changes the partition), or a
+/// rename — anything that silently changes the planned cells), or a
 /// generated corpus that no longer digests to the planned population.
 /// Either way, shard unions would no longer equal the planned campaign,
 /// so re-plan. Drift errors *name the drifted scenarios* via the
@@ -654,7 +523,7 @@ pub fn check_drift(registry: &Registry, manifest: &Manifest) -> Result<(), Scena
 pub fn check_drift_observing(
     registry: &Registry,
     manifest: &Manifest,
-    observe: &mut dyn FnMut(&PlannedCell),
+    observe: &mut dyn FnMut(Cell),
 ) -> Result<(), ScenarioError> {
     if let Some(corpus) = &manifest.corpus {
         let current = registry
@@ -672,7 +541,7 @@ pub fn check_drift_observing(
             )));
         }
     }
-    let tally = tally(&manifest.space(registry)?, manifest.shards, observe)?;
+    let tally = tally(&manifest.space(registry)?, observe);
     // Name the scenarios whose slice moved (weights are advisory and
     // deliberately not part of the drift comparison).
     let drifted: Vec<String> = manifest
@@ -735,7 +604,7 @@ mod tests {
         assert_eq!(m.shards, 3);
         assert_eq!(m.scenarios, domino_select());
         assert!(m.cells > 0);
-        assert_eq!(planned_cells(&registry(), &m).unwrap().len(), m.cells);
+        assert_eq!(m.space(&registry()).unwrap().cells().count(), m.cells);
         assert!(m.per_scenario.iter().all(|s| s.weight == 1.0));
     }
 
@@ -773,6 +642,25 @@ mod tests {
             Manifest::from_json(&doc),
             Err(ScenarioError::Dist(_))
         ));
+    }
+
+    #[test]
+    fn schema_4_manifests_must_be_re_planned() {
+        // Schema 4 partitioned static shards by fingerprint hash; a
+        // worker running today's chunk-map partition over it would
+        // disagree with any schema-4 worker still running.
+        let mut doc = plan(&registry(), &domino_select(), &[], 7, 2)
+            .unwrap()
+            .to_json();
+        if let Json::Obj(members) = &mut doc {
+            members[0].1 = Json::Num(4.0);
+        }
+        assert_eq!(
+            Manifest::from_json(&doc),
+            Err(ScenarioError::Dist(
+                "manifest: schema 4 != supported 5 — re-plan".into()
+            ))
+        );
     }
 
     #[test]
@@ -828,15 +716,15 @@ mod tests {
     }
 
     #[test]
-    fn planned_cells_carry_global_lazy_indices() {
+    fn manifest_cells_carry_global_lazy_indices() {
         let m = plan(&registry(), &domino_select(), &[], 3, 2).unwrap();
-        let cells = planned_cells(&registry(), &m).unwrap();
+        let cells: Vec<Cell> = m.space(&registry()).unwrap().cells().collect();
         // No filter: global indices are exactly 0..n in plan order.
         let globals: Vec<usize> = cells.iter().map(|c| c.global).collect();
         assert_eq!(globals, (0..cells.len()).collect::<Vec<_>>());
         // A filter keeps indices anchored to the *unfiltered* space.
         let m = plan(&registry(), &domino_select(), &["n=16".into()], 3, 2).unwrap();
-        let filtered = planned_cells(&registry(), &m).unwrap();
+        let filtered: Vec<Cell> = m.space(&registry()).unwrap().cells().collect();
         let full: Vec<usize> = cells
             .iter()
             .filter(|c| filtered.iter().any(|f| f.fingerprint == c.fingerprint))
@@ -851,37 +739,6 @@ mod tests {
 
     #[test]
     fn calibration_normalizes_to_the_cheapest_scenario() {
-        use crate::scenario::{CellResult, Params};
-        let mut store = ResultStore::new();
-        let p = |n: u64| Params::new(vec![("n".into(), n.to_string())]);
-        store.insert("cheap", 1, &p(1), 1, CellResult::new(vec![("m", 2.0)]));
-        store.insert("costly", 1, &p(1), 1, CellResult::new(vec![("m", 6.0)]));
-        store.insert("costly", 1, &p(2), 2, CellResult::new(vec![("m", 10.0)]));
-        let ids = vec![
-            "cheap".to_string(),
-            "costly".to_string(),
-            "absent".to_string(),
-        ];
-        let w = calibrate_weights(&store, &ids);
-        assert_eq!(w, vec![1.0, 4.0, 1.0]);
-        // Calibration feeds the manifest through plan_calibrated.
-        let registry = Registry::builtin();
-        let (m, counts) = plan_calibrated(
-            &registry,
-            &domino_select(),
-            &[],
-            42,
-            3,
-            Some(&ResultStore::new()),
-        )
-        .unwrap();
-        assert_eq!(counts.iter().sum::<usize>(), m.cells);
-        assert!(m.per_scenario.iter().all(|s| s.weight == 1.0));
-    }
-
-    #[test]
-    fn wall_clock_telemetry_outranks_the_metric_proxy() {
-        use crate::telemetry::Telemetry;
         use std::time::Duration;
         let ids = vec![
             "slow".to_string(),
@@ -894,82 +751,72 @@ mod tests {
         telemetry.record_hit("cccc", "untimed", 3);
         let w = calibrate_weights_wall(&telemetry, &ids).unwrap();
         assert_eq!(w, vec![4.0, 1.0, 1.0], "means normalize to the cheapest");
-        // Telemetry covering nothing selected defers to the proxy.
+        // Telemetry covering nothing selected gives no weights at all.
         assert_eq!(
             calibrate_weights_wall(&telemetry, &["other".to_string()]),
             None
         );
         assert_eq!(calibrate_weights_wall(&Telemetry::new(), &ids), None);
+    }
 
-        // Through the planner: with a sidecar, wall-clock wins over the
-        // metric proxy; without one, the proxy still applies.
-        use crate::scenario::{CellResult, Params};
-        let registry = Registry::builtin();
+    #[test]
+    fn plan_calibrates_from_the_sidecar_and_errors_without_one() {
+        use std::time::Duration;
+        let dir = std::env::temp_dir().join(format!("harness-calibrate-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = dir.join("baseline.json");
         let ids = domino_select();
-        let mut baseline = ResultStore::new();
-        let p = |n: u64| Params::new(vec![("n".into(), n.to_string())]);
-        // Proxy says scenario 0 is costlier (bigger magnitudes)...
-        baseline.insert(&ids[0], 1, &p(1), 1, CellResult::new(vec![("m", 100.0)]));
-        baseline.insert(&ids[1], 1, &p(1), 1, CellResult::new(vec![("m", 1.0)]));
-        // ...but measured time says scenario 1 is.
+        let calibrated =
+            |store: &Path| plan_calibrated_with(&registry(), &ids, &[], 42, 2, 1, Some(store));
+
+        // No sidecar beside the store: an error naming the sidecar.
+        let sidecar = telemetry_path(&store);
+        let err = calibrated(&store).unwrap_err().to_string();
+        assert!(
+            err.contains(&sidecar.display().to_string()) && err.contains("no telemetry sidecar"),
+            "got: {err}"
+        );
+
+        // A sidecar timing none of the selection: the same, not unit
+        // weights.
+        let mut other = Telemetry::new();
+        other.record_fresh("aaaa", "cache-evict-fill", Duration::from_millis(1), 1);
+        other.save_compacted(&sidecar).unwrap();
+        let err = calibrated(&store).unwrap_err().to_string();
+        assert!(
+            err.contains(&sidecar.display().to_string()) && err.contains("times none"),
+            "got: {err}"
+        );
+
+        // Measured means become the weights, normalized to the cheapest.
         let mut telemetry = Telemetry::new();
         telemetry.record_fresh("aaaa", &ids[0], Duration::from_millis(1), 1);
         telemetry.record_fresh("bbbb", &ids[1], Duration::from_millis(9), 2);
-        let (proxy, _, source) =
-            plan_calibrated_with(&registry, &ids, &[], 42, 2, 1, Some(&baseline), None).unwrap();
-        assert_eq!(source, WeightSource::MetricProxy);
-        assert_eq!(proxy.per_scenario[0].weight, 100.0);
-        let (timed, _, source) = plan_calibrated_with(
-            &registry,
-            &ids,
-            &[],
-            42,
-            2,
-            1,
-            Some(&baseline),
-            Some(&telemetry),
-        )
-        .unwrap();
-        assert_eq!(source, WeightSource::WallClock);
+        telemetry.save_compacted(&sidecar).unwrap();
+        let timed = calibrated(&store).unwrap();
         assert_eq!(timed.per_scenario[0].weight, 1.0);
         assert_eq!(timed.per_scenario[1].weight, 9.0);
-        // The opposing weights reorder the work-stealing chunk map: the
-        // proxy cuts scenario 0 finer (it thinks it costlier), the
-        // timed plan cuts scenario 1 finer — measured time, not metric
-        // magnitude, now shapes what is stealable.
+        // The weights reshape the chunk map: next to the measured-slow
+        // scenario, the cheap one is cut into coarser chunks than a
+        // unit-weight plan cuts it.
+        let unit = plan(&registry(), &ids, &[], 42, 2).unwrap();
         let chunks_of = |m: &Manifest, scenario: usize| {
-            crate::dist::chunk_map(&registry, m)
+            crate::dist::chunk_map(&registry(), m)
                 .unwrap()
                 .iter()
                 .filter(|c| c.scenario == scenario)
                 .count()
         };
         assert!(
-            chunks_of(&proxy, 0) > chunks_of(&timed, 0),
-            "the proxy plan must cut the magnitude-heavy scenario finer"
+            chunks_of(&timed, 0) < chunks_of(&unit, 0),
+            "the measured-cheap scenario must be cut coarser"
         );
-        assert!(
-            chunks_of(&timed, 1) > chunks_of(&proxy, 1),
-            "the timed plan must cut the measured-slow scenario finer"
-        );
-        let (_, _, source) =
-            plan_calibrated_with(&registry, &ids, &[], 42, 2, 1, None, Some(&telemetry)).unwrap();
-        assert_eq!(source, WeightSource::Unit, "telemetry alone is no baseline");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     fn plan_reps(reps: u32, shards: u32, seed: u64) -> Manifest {
-        plan_calibrated_with(
-            &registry(),
-            &domino_select(),
-            &[],
-            seed,
-            shards,
-            reps,
-            None,
-            None,
-        )
-        .unwrap()
-        .0
+        plan_calibrated_with(&registry(), &domino_select(), &[], seed, shards, reps, None).unwrap()
     }
 
     #[test]
@@ -992,9 +839,9 @@ mod tests {
     }
 
     #[test]
-    fn replicated_planned_cells_vary_rep_fastest_with_distinct_seeds() {
+    fn replicated_manifest_cells_vary_rep_fastest_with_distinct_seeds() {
         let m = plan_reps(4, 2, 5);
-        let cells = planned_cells(&registry(), &m).unwrap();
+        let cells: Vec<Cell> = m.space(&registry()).unwrap().cells().collect();
         assert_eq!(cells.len(), m.cells);
         // Global indices stay the dense 0..n of the replicated space.
         let globals: Vec<usize> = cells.iter().map(|c| c.global).collect();
@@ -1016,8 +863,9 @@ mod tests {
     #[test]
     fn replicated_plan_matches_the_executor_decode() {
         use crate::exec::{run_campaign, ExecConfig};
+        use crate::store::ResultStore;
         let m = plan_reps(3, 2, 11);
-        let planned = planned_cells(&registry(), &m).unwrap();
+        let planned: Vec<Cell> = m.space(&registry()).unwrap().cells().collect();
         let mut store = ResultStore::new();
         run_campaign(
             &registry(),

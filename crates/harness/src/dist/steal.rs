@@ -1,20 +1,21 @@
-//! Dynamic work stealing between shard processes.
-//!
-//! The static fingerprint partition balances cell *counts*, not cell
-//! *costs*: one slow scenario can leave N-1 shards idle while the
-//! unlucky shard grinds. This module turns the static assignment into
-//! an *initial lease* and lets idle shards steal the rest:
+//! The chunk map every shard runs from, and dynamic work stealing
+//! between shard processes.
 //!
 //! * The campaign's global lazy index space is cut into [`Chunk`]s —
 //!   contiguous cell ranges that never span scenarios, sized so each
 //!   chunk carries roughly equal *cost* under the manifest's
-//!   per-scenario weights (calibrated at plan time from a committed
-//!   baseline store). Every shard derives the identical chunk map from
-//!   the manifest alone; there is still no coordinator.
+//!   per-scenario weights (unit, or calibrated at plan time from a
+//!   telemetry sidecar). Every shard derives the identical chunk map
+//!   from the manifest alone; there is no coordinator.
 //! * Each chunk has a deterministic `initial_shard` (greedy
-//!   least-loaded assignment in chunk order). A shard first claims and
-//!   executes its own chunks, then sweeps the remaining chunk list and
-//!   steals whatever is still unleased.
+//!   least-loaded assignment in chunk order): the shard partition. A
+//!   static shard ([`crate::dist::run_shard_with`]) runs the chunks of
+//!   its initial lease and stops; it needs no lease files, because no
+//!   chunk is contested.
+//! * A stealing shard ([`run_shard_stealing`]) claims its own chunks
+//!   one at a time, then sweeps the other shards' chunks and steals
+//!   whatever is still unleased, so one slow shard no longer sets the
+//!   campaign's makespan.
 //! * Claiming goes through *lease files* in a shared directory beside
 //!   the manifest: `O_CREAT|O_EXCL` file creation is the atomic
 //!   claim, so every chunk is executed by exactly one live shard, with
@@ -28,9 +29,7 @@
 //! single-process run.
 
 use crate::dist::plan::{check_drift, Manifest};
-use crate::exec::{
-    run_campaign_with, Campaign, CellDomain, CellEvent, ExecConfig, ExecHooks, Shard,
-};
+use crate::exec::{run_campaign_with, Campaign, CellDomain, CellEvent, ExecHooks};
 use crate::registry::Registry;
 use crate::scenario::ScenarioError;
 use crate::store::ResultStore;
@@ -96,8 +95,11 @@ pub fn chunk_map(registry: &Registry, manifest: &Manifest) -> Result<Vec<Chunk>,
         }
     }
     // Initial lease: greedy least-loaded in chunk order — deterministic
-    // and cost-balanced under the manifest's weights.
-    let mut load = vec![0.0f64; manifest.shards as usize];
+    // and cost-balanced under the manifest's weights. No chunk costs
+    // less than 0 and ties go to the lowest index, so chunk `i` never
+    // lands above shard `i`: sizing the loads by the chunk count gives
+    // the same assignment without a per-shard allocation.
+    let mut load = vec![0.0f64; (manifest.shards as usize).min(chunks.len())];
     for chunk in &mut chunks {
         let shard = load
             .iter()
@@ -109,6 +111,24 @@ pub fn chunk_map(registry: &Registry, manifest: &Manifest) -> Result<Vec<Chunk>,
         load[shard] += chunk.cost;
     }
     Ok(chunks)
+}
+
+/// The chunk map a worker of shard `index` runs from: errors when the
+/// index is outside the manifest's shard count or the registry drifted
+/// since planning.
+pub(crate) fn shard_chunks(
+    registry: &Registry,
+    manifest: &Manifest,
+    index: u32,
+) -> Result<Vec<Chunk>, ScenarioError> {
+    if index >= manifest.shards {
+        return Err(ScenarioError::Dist(format!(
+            "shard index {index} out of range (count {})",
+            manifest.shards
+        )));
+    }
+    check_drift(registry, manifest)?;
+    chunk_map(registry, manifest)
 }
 
 /// The shared lease directory: one file per claimed chunk, created
@@ -284,8 +304,8 @@ pub struct StealStats {
     pub claimed_chunks: usize,
     /// Of those, chunks stolen from another shard's initial lease.
     pub stolen_chunks: usize,
-    /// Lazy cells in this shard's initial lease (what a static
-    /// partition would have pinned on it).
+    /// Lazy cells in this shard's initial lease (what a static shard
+    /// would have run).
     pub lease_cells: usize,
     /// Lazy cells this shard actually executed (claimed chunks). A slow
     /// shard ends below its lease; fast shards end above theirs.
@@ -312,20 +332,9 @@ pub fn run_shard_stealing(
     leases: &LeaseDir,
     hooks: ExecHooks<'_>,
 ) -> Result<(Campaign, StealStats), ScenarioError> {
-    Shard::new(index, manifest.shards)?;
-    check_drift(registry, manifest)?;
-    let chunks = chunk_map(registry, manifest)?;
+    let chunks = shard_chunks(registry, manifest, index)?;
     let filter = manifest.parsed_filter()?;
-    // Replicates come from the manifest so every shard expands the same
-    // replicated matrix; a range run never folds (the merge engine
-    // folds once all shards' raw replicates are fused), so
-    // keep_replicates is irrelevant here.
-    let config = ExecConfig {
-        threads,
-        seed: manifest.seed,
-        replicates: manifest.replicates,
-        keep_replicates: true,
-    };
+    let config = manifest.exec_config(threads);
 
     let mut stats = StealStats::default();
     for chunk in &chunks {
@@ -437,7 +446,7 @@ pub fn run_shard_stealing(
 mod tests {
     use super::*;
     use crate::dist;
-    use crate::exec::run_campaign;
+    use crate::exec::{run_campaign, ExecConfig};
     use crate::matrix::Filter;
 
     fn select() -> Vec<String> {
@@ -472,6 +481,20 @@ mod tests {
         assert!(chunks
             .iter()
             .all(|c| c.range.end <= 4 || c.range.start >= 4));
+    }
+
+    #[test]
+    fn a_huge_shard_count_leases_one_chunk_per_shard() {
+        // More shards than chunks: the map equals the map at exactly one
+        // shard per chunk (shards above that get an empty lease), and
+        // cutting it allocates nothing per shard.
+        let registry = Registry::builtin();
+        let mut manifest = dist::plan(&registry, &select(), &[], 42, u32::MAX).unwrap();
+        let huge = chunk_map(&registry, &manifest).unwrap();
+        assert_eq!(huge.len(), 8, "one chunk per lazy cell");
+        manifest.shards = huge.len() as u32;
+        assert_eq!(huge, chunk_map(&registry, &manifest).unwrap());
+        assert!(huge.iter().all(|c| c.initial_shard == c.id as u32));
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! filter, campaign seed)` — never of thread count or scheduling. The
 //! cell order is fixed up front by the campaign's [`CampaignSpace`]:
 //! workers pull raw global indices from a shared cursor and decode each
-//! one on the fly — filter check, shard check and store lookup
-//! included. Every worker accumulates its outcomes in a private slot
-//! buffer (no shared mutex on the hot path); the buffers are merged and
-//! sorted by global index afterwards, so the assembled campaign is
+//! one on the fly — filter check and store lookup included. Every
+//! worker accumulates its outcomes in a private slot buffer (no shared
+//! mutex on the hot path); the buffers are merged and sorted by global
+//! index afterwards, so the assembled campaign is
 //! identical whether one thread ran it or sixteen. [`ExecHooks`] expose
 //! the stream as it happens: one [`CellEvent`] per completed cell (the
 //! telemetry sidecar, `--progress` and serve job progress consume it)
@@ -85,73 +85,16 @@ pub struct Campaign {
     pub replicates: u32,
 }
 
-/// One slice of a sharded campaign: this process owns every cell whose
-/// fingerprint maps to `index` under [`shard_of`] with `count` shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shard {
-    /// Which shard this worker claims (`0 <= index < count`).
-    pub index: u32,
-    /// Total number of shards the campaign was partitioned into.
-    pub count: u32,
-}
-
-impl Shard {
-    /// Validates the pair.
-    pub fn new(index: u32, count: u32) -> Result<Shard, ScenarioError> {
-        if count == 0 {
-            return Err(ScenarioError::Dist("shard count must be >= 1".into()));
-        }
-        if index >= count {
-            return Err(ScenarioError::Dist(format!(
-                "shard index {index} out of range (count {count})"
-            )));
-        }
-        Ok(Shard { index, count })
-    }
-
-    /// True if this shard owns the fingerprinted cell. Errors on a
-    /// malformed fingerprint (a corrupted store or manifest) instead of
-    /// panicking the worker.
-    pub fn owns(&self, fp: &str) -> Result<bool, ScenarioError> {
-        Ok(shard_of(fp, self.count)? == self.index)
-    }
-}
-
-/// Maps a cell fingerprint to its shard. The assignment depends on
-/// nothing but the fingerprint, which is what lets every worker
-/// partition independently. Fingerprints are raw FNV-1a values whose
-/// residues correlate for near-identical inputs, so the hash is pushed
-/// through a SplitMix64 finalizer before the modulus to keep shard
-/// loads balanced. A malformed fingerprint (hand-edited or corrupted
-/// store/manifest data) is a [`ScenarioError::Dist`], not a panic.
-pub fn shard_of(fp: &str, shards: u32) -> Result<u32, ScenarioError> {
-    let malformed = || {
-        ScenarioError::Dist(format!(
-            "malformed fingerprint `{fp}` (expected 16 hex digits)"
-        ))
-    };
-    if fp.len() != 16 || !fp.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return Err(malformed());
-    }
-    let h = u64::from_str_radix(fp, 16).map_err(|_| malformed())?;
-    let mut z = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    Ok((z % u64::from(shards.max(1))) as u32)
-}
-
 /// The cell domain one executor invocation sweeps, expressed over the
 /// campaign's global index space ([`CampaignSpace`]).
 #[derive(Debug, Clone, Copy)]
 pub enum CellDomain<'a> {
     /// Every matching cell.
     All,
-    /// Cells whose fingerprint the shard owns (the static partition).
-    Shard(Shard),
-    /// Explicit index ranges into the global lazy space (the
-    /// work-stealing lease protocol executes one claimed chunk range at
-    /// a time). Ranges must be in bounds and ascending-disjoint for the
+    /// Explicit index ranges into the global lazy space: a static shard
+    /// runs the ranges of its initial-lease chunks in one call, and the
+    /// work-stealing lease protocol one claimed chunk range at a time.
+    /// Ranges must be in bounds and ascending-disjoint for the
     /// assembled cell order to stay deterministic.
     Ranges(&'a [Range<usize>]),
 }
@@ -182,7 +125,7 @@ pub struct CellEvent<'a> {
     /// when it was a hit.
     pub memoized: usize,
     /// Lazy cells in the swept domain (an upper bound on work: filtered
-    /// or unowned cells are scanned but never executed).
+    /// cells are scanned but never executed).
     pub total: usize,
 }
 
@@ -284,19 +227,13 @@ pub fn run_campaign_with(
     domain: CellDomain<'_>,
     hooks: ExecHooks<'_>,
 ) -> Result<Campaign, ScenarioError> {
-    if let CellDomain::Shard(s) = domain {
-        // Re-validate: a Shard built by hand instead of Shard::new must
-        // not silently claim nothing (index >= count matches no cell).
-        Shard::new(s.index, s.count)?;
-    }
     let plan_span = hooks.obs.map(|o| o.span("plan", "exec"));
     let space = CampaignSpace::new(registry, select, filter, config.seed, config.replicates)?;
     let total = space.total();
     let whole = 0..total;
-    let (ranges, shard): (&[Range<usize>], Option<Shard>) = match domain {
-        CellDomain::All => (std::slice::from_ref(&whole), None),
-        CellDomain::Shard(s) => (std::slice::from_ref(&whole), Some(s)),
-        CellDomain::Ranges(r) => (r, None),
+    let ranges: &[Range<usize>] = match domain {
+        CellDomain::All => std::slice::from_ref(&whole),
+        CellDomain::Ranges(r) => r,
     };
     for range in ranges {
         if range.start > range.end || range.end > total {
@@ -363,19 +300,6 @@ pub fn run_campaign_with(
                     continue;
                 };
                 drop(decode_span);
-                if let Some(s) = shard {
-                    match s.owns(&cell.fingerprint) {
-                        Ok(false) => continue,
-                        Ok(true) => {}
-                        Err(e) => {
-                            out.push(Slot {
-                                cell,
-                                outcome: SlotOutcome::Fresh(Err(e)),
-                            });
-                            continue;
-                        }
-                    }
-                }
                 // The executor only produces raw cells: a fold cell
                 // stored under this fingerprint (an earlier replicated
                 // run's distribution) is a miss, and the fresh raw cell
@@ -476,10 +400,10 @@ pub fn run_campaign_with(
     // failure memoizes the work that did complete.
     slots.sort_unstable_by_key(|s| s.cell.global);
     // Only a *complete* campaign (the full domain) folds its
-    // replicates: shard and range runs leave raw replicate cells for
-    // the merge engine to fold once every shard's outcomes are fused —
-    // the fold must see all N replicates of a base cell, and a
-    // partition sees only the ones it owns.
+    // replicates: range runs (every shard) leave raw replicate cells
+    // for the merge engine to fold once every shard's outcomes are
+    // fused — the fold must see all N replicates of a base cell, and a
+    // chunk boundary may split a replicate group.
     let folding = space.replicates() > 1 && matches!(domain, CellDomain::All);
     // (global index, fingerprint) of every assembled cell, for the fold.
     let mut raw: Vec<(usize, String)> = Vec::new();
@@ -815,74 +739,6 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, ScenarioError::BadParam { .. }));
         assert_eq!(store.len(), 2, "completed cells memoized despite the error");
-    }
-
-    #[test]
-    fn shards_partition_the_campaign() {
-        let full = run(2, 9, &mut ResultStore::new());
-        for count in [1u32, 2, 3, 4] {
-            let mut sharded: Vec<CampaignCell> = Vec::new();
-            for index in 0..count {
-                let slice = run_campaign_with(
-                    &registry(),
-                    &[],
-                    &Filter::all(),
-                    &ExecConfig {
-                        threads: 2,
-                        seed: 9,
-                        ..ExecConfig::default()
-                    },
-                    &mut ResultStore::new(),
-                    CellDomain::Shard(Shard::new(index, count).unwrap()),
-                    ExecHooks::default(),
-                )
-                .unwrap();
-                sharded.extend(slice.cells);
-            }
-            assert_eq!(sharded.len(), full.cells.len(), "count {count} covers");
-            // Same multiset of cells (shard order permutes the list).
-            let key = |c: &CampaignCell| (c.scenario.clone(), c.params.key());
-            let mut a: Vec<_> = sharded.iter().map(key).collect();
-            let mut b: Vec<_> = full.cells.iter().map(key).collect();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "count {count} is a permutation");
-        }
-    }
-
-    #[test]
-    fn invalid_shards_are_rejected() {
-        assert!(Shard::new(0, 0).is_err());
-        assert!(Shard::new(3, 3).is_err());
-        assert!(Shard::new(2, 3).is_ok());
-        let err = run_campaign_with(
-            &registry(),
-            &[],
-            &Filter::all(),
-            &ExecConfig {
-                threads: 1,
-                seed: 0,
-                ..ExecConfig::default()
-            },
-            &mut ResultStore::new(),
-            CellDomain::Shard(Shard { index: 5, count: 2 }),
-            ExecHooks::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, ScenarioError::Dist(_)));
-    }
-
-    #[test]
-    fn malformed_fingerprints_error_instead_of_panicking() {
-        for bad in ["", "xyz", "123", "zzzzzzzzzzzzzzzz", "0123456789abcde-"] {
-            assert!(
-                matches!(shard_of(bad, 4), Err(ScenarioError::Dist(_))),
-                "`{bad}` must be rejected"
-            );
-            let shard = Shard::new(0, 4).unwrap();
-            assert!(shard.owns(bad).is_err());
-        }
-        assert!(shard_of("0123456789abcdef", 4).is_ok());
     }
 
     #[test]

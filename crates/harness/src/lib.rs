@@ -152,7 +152,7 @@ pub mod telemetry;
 pub use dist::{diff_stores, merge_stores, DiffReport, LeaseDir, Manifest, Tolerances};
 pub use exec::{
     run_campaign, run_campaign_with, Campaign, CampaignCell, CellDomain, CellEvent, ExecConfig,
-    ExecHooks, Shard,
+    ExecHooks,
 };
 pub use expect::{fold_results, replicate_seed, Accumulator, Moments, DERIVED_SUFFIXES};
 pub use gen::{Corpus, GenOptions};

@@ -5,12 +5,14 @@
 
 use crate::dist::diff::{DeltaKind, DiffReport};
 use crate::dist::plan::Manifest;
+use crate::dist::steal::Chunk;
 use crate::exec::Campaign;
 use crate::expect::DERIVED_SUFFIXES;
 use crate::json::Json;
 use crate::registry::Registry;
 use crate::scenario::ScenarioSpec;
 use predictability_core::catalog;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Serializes a campaign deterministically: equal campaigns render to
@@ -321,11 +323,12 @@ fn fold_extreme(values: &[Option<f64>], smaller: bool) -> Option<f64> {
         .reduce(|a, b| if (b < a) == smaller { b } else { a })
 }
 
-/// Renders a shard plan: the manifest's identity line plus each
-/// shard's cell count (the partition balance at a glance). Takes the
-/// per-shard counts the streaming planner already accumulated — no
-/// materialized cell list is ever needed for the summary.
-pub fn plan_summary(manifest: &Manifest, shard_counts: &[usize]) -> String {
+/// Renders a shard plan: the manifest's identity line, then each
+/// shard's initial lease from the chunk map — in the wording of
+/// `merge --report` — with its planned cost. Shards with an empty lease
+/// (more shards than chunks) are counted, not listed, so a huge shard
+/// count prints one line.
+pub fn plan_summary(manifest: &Manifest, chunks: &[Chunk]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -335,8 +338,23 @@ pub fn plan_summary(manifest: &Manifest, shard_counts: &[usize]) -> String {
         manifest.seed,
         manifest.scenarios.join(", ")
     );
-    for (shard, count) in shard_counts.iter().enumerate() {
-        let _ = writeln!(out, "  shard {shard}: {count} cells");
+    // shard -> (chunks, lazy cells, cost) of its initial lease.
+    let mut leases: BTreeMap<u32, (usize, usize, f64)> = BTreeMap::new();
+    for chunk in chunks {
+        let lease = leases.entry(chunk.initial_shard).or_default();
+        lease.0 += 1;
+        lease.1 += chunk.range.len();
+        lease.2 += chunk.cost;
+    }
+    for (shard, (chunks, cells, cost)) in &leases {
+        let _ = writeln!(
+            out,
+            "  shard {shard}: lease {chunks} chunks / {cells} cells, cost {cost:.2}"
+        );
+    }
+    let empty = u64::from(manifest.shards) - leases.len() as u64;
+    if empty > 0 {
+        let _ = writeln!(out, "  {empty} shards with an empty lease");
     }
     if manifest.per_scenario.iter().any(|s| s.weight != 1.0) {
         let weights: Vec<String> = manifest
@@ -630,15 +648,30 @@ mod tests {
     #[test]
     fn plan_summary_counts_every_shard() {
         let registry = Registry::builtin();
-        let (manifest, counts) =
-            crate::dist::plan_calibrated(&registry, &["pipeline-domino".into()], &[], 1, 3, None)
-                .unwrap();
-        let s = plan_summary(&manifest, &counts);
-        for shard in 0..3 {
-            assert!(s.contains(&format!("shard {shard}:")));
+        let plan = |shards| {
+            let manifest =
+                crate::dist::plan(&registry, &["pipeline-domino".into()], &[], 1, shards).unwrap();
+            let chunks = crate::dist::chunk_map(&registry, &manifest).unwrap();
+            plan_summary(&manifest, &chunks)
+        };
+        // pipeline-domino has 4 unit-cost cells: 3 shards lease 2+1+1.
+        let s = plan(3);
+        assert!(s.contains("planned 4 cells over 3 shards"), "got: {s}");
+        assert!(s.contains("  shard 0: lease 2 chunks / 2 cells, cost 2.00\n"));
+        for shard in 1..3 {
+            assert!(s.contains(&format!(
+                "  shard {shard}: lease 1 chunks / 1 cells, cost 1.00\n"
+            )));
         }
-        assert!(s.contains(&format!("planned {} cells", manifest.cells)));
+        assert!(!s.contains("empty lease"), "got: {s}");
         assert!(!s.contains("cost weights"), "unit weights stay silent");
+        // More shards than chunks: only the leased shards are listed.
+        let s = plan(u32::MAX);
+        assert_eq!(s.lines().filter(|l| l.starts_with("  shard ")).count(), 4);
+        assert!(
+            s.contains("  4294967291 shards with an empty lease"),
+            "got: {s}"
+        );
     }
 
     #[test]

@@ -21,9 +21,8 @@
 //!
 //! Three consumers read the sidecar back:
 //!
-//! * `campaign plan --calibrate` derives per-scenario cost weights from
-//!   the *measured* mean cell duration instead of the metric-magnitude
-//!   proxy, whenever a sidecar accompanies the baseline store
+//! * `campaign plan --calibrate STORE` derives per-scenario cost
+//!   weights from the *measured* mean cell duration in STORE's sidecar
 //!   ([`crate::dist::plan::calibrate_weights_wall`]);
 //! * `campaign merge --report` joins per-shard sidecars with the
 //!   work-stealing lease files into a realized wall-clock balance

@@ -84,35 +84,42 @@ fn shards_are_disjoint_covering_and_stable() {
         let select: Vec<String> = select.iter().map(|s| s.to_string()).collect();
         for shards in [1u32, 2, 3, 5, 16] {
             let manifest = dist::plan(&registry, &select, &[], 9, shards).unwrap();
-            let planned = dist::planned_cells(&registry, &manifest).unwrap();
+            let planned: BTreeSet<String> = manifest
+                .space(&registry)
+                .unwrap()
+                .cells()
+                .map(|cell| cell.fingerprint)
+                .collect();
             assert_eq!(planned.len(), manifest.cells);
 
-            // Disjoint + covering: every cell lands in exactly one
-            // shard, every fingerprint appears exactly once.
+            // Disjoint + covering: run every shard for real; each
+            // planned cell lands in exactly one shard's store.
             let mut seen = BTreeSet::new();
-            for cell in &planned {
-                assert!(cell.shard < shards, "cell assigned to out-of-range shard");
-                assert!(
-                    seen.insert(cell.fingerprint.clone()),
-                    "fingerprint {} planned twice",
-                    cell.fingerprint
-                );
+            for index in 0..shards {
+                let mut store = ResultStore::new();
+                let campaign = dist::run_shard(&registry, &manifest, index, 2, &mut store).unwrap();
+                assert_eq!(campaign.cells.len(), store.len());
+                if shards == 16 && select == ["t1"] && index >= 7 {
+                    // t1 has 7 cells, so 7 chunks: shards 7..16 hold an
+                    // empty lease and run nothing.
+                    assert!(campaign.cells.is_empty(), "shard {index} must be empty");
+                }
+                for (fingerprint, _) in store.iter() {
+                    assert!(
+                        seen.insert(fingerprint.to_string()),
+                        "fingerprint {fingerprint} ran in two shards"
+                    );
+                }
             }
-            assert_eq!(seen.len(), manifest.cells, "shards must cover every cell");
+            assert_eq!(seen, planned, "shards must cover every planned cell");
 
-            // Stable: re-planning yields the identical manifest bytes
-            // and the identical partition.
+            // Stable: re-planning yields the identical manifest bytes,
+            // and so the identical chunk map.
             let again = dist::plan(&registry, &select, &[], 9, shards).unwrap();
-            assert_eq!(again, manifest);
             assert_eq!(
                 again.to_json().pretty(),
                 manifest.to_json().pretty(),
                 "manifests must be byte-stable"
-            );
-            assert_eq!(
-                dist::planned_cells(&registry, &again).unwrap(),
-                planned,
-                "same manifest must give the same partition"
             );
         }
     }
@@ -410,12 +417,49 @@ fn cli_errors_exit_2_with_diagnostics() {
     ]);
     assert_code(&out, 2, "out-of-range shard index");
     assert!(String::from_utf8_lossy(&out.stderr).contains("out of range"));
+    let out = campaign(&[
+        "shard",
+        "--manifest",
+        manifest.to_str().unwrap(),
+        "--index",
+        "7",
+        "--steal",
+        "--leases",
+        dir.path("leases").to_str().unwrap(),
+    ]);
+    assert_code(&out, 2, "out-of-range stealing shard index");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("shard index 7 out of range (count 2)"));
 
     // An unreadable (corrupt) store path diagnoses instead of panicking.
     let corrupt = dir.path("corrupt.json");
     std::fs::write(&corrupt, "{not json").unwrap();
     let out = campaign(&["diff", corrupt.to_str().unwrap(), corrupt.to_str().unwrap()]);
     assert_code(&out, 2, "corrupt store");
+}
+
+#[test]
+fn cli_plan_over_more_shards_than_chunks_lists_only_leased_shards() {
+    // Nothing in planning may allocate per shard.
+    let dir = TempDir::new("huge");
+    let out = campaign(&[
+        "plan",
+        "--scenario",
+        SELECT[0],
+        "--shards",
+        "4294967295",
+        "--manifest",
+        dir.path("manifest.json").to_str().unwrap(),
+    ]);
+    assert_code(&out, 0, "plan over u32::MAX shards");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        stdout.lines().filter(|l| l.starts_with("  shard ")).count(),
+        4
+    );
+    assert!(
+        stdout.contains("4294967291 shards with an empty lease"),
+        "{stdout}"
+    );
 }
 
 #[test]

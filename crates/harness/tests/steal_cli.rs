@@ -182,6 +182,7 @@ fn calibrated_plan_records_weights_and_still_runs() {
     let dir = TempDir::new("calibrated");
     let baseline = dir.path("baseline.json");
     let manifest_path = dir.path("manifest.json");
+    // The weights come from the baseline's telemetry sidecar.
     run_ok(&[
         "run",
         "--scenario",
@@ -191,6 +192,7 @@ fn calibrated_plan_records_weights_and_still_runs() {
         "--seed",
         "42",
         "--quiet",
+        "--telemetry",
         "--store",
         baseline.to_str().unwrap(),
     ]);

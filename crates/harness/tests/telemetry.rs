@@ -5,9 +5,10 @@
 //! * **Determinism** — a campaign run with `--telemetry` writes a
 //!   `store.json` byte-identical to a run without it (wall clock lives
 //!   only in the sidecar, never in the store).
-//! * **Calibration** — `plan --calibrate` prefers measured wall-clock
-//!   durations when a sidecar accompanies the baseline store, and says
-//!   so; without a sidecar it falls back to the metric-magnitude proxy.
+//! * **Calibration** — `plan --calibrate` takes measured wall-clock
+//!   durations from the sidecar beside the given store, and says so;
+//!   without a sidecar, or one timing none of the selection, it exits 2
+//!   naming the sidecar path.
 //! * **Lifecycle** — `gc --max-age-days` evicts from the sidecar's
 //!   access log (no entry = oldest), and gc refuses a store with a
 //!   journal sidecar unless `--compact-journal` folds the pair first.
@@ -131,13 +132,12 @@ fn telemetry_sidecar_leaves_the_store_byte_identical() {
 }
 
 #[test]
-fn plan_calibrate_prefers_wall_clock_and_falls_back_to_the_proxy() {
+fn plan_calibrate_reads_wall_clock_and_errors_without_a_sidecar() {
     let dir = TempDir::new("calibrate");
     let baseline = dir.path("baseline.json");
     let b = baseline.to_str().unwrap();
     // Two runs into one store: the domino cells are artificially slow,
-    // the dram cells are not — so measured time disagrees with
-    // whatever the metric magnitudes say.
+    // the dram cells are not.
     let slow = campaign(
         &[
             "run",
@@ -207,17 +207,28 @@ fn plan_calibrate_prefers_wall_clock_and_falls_back_to_the_proxy() {
     );
     assert_eq!(weight_of(&timed, SELECT[1]), 1.0);
 
-    // Remove the sidecar: same command, proxy fallback (and it says so).
-    std::fs::remove_file(telemetry_path(&baseline)).unwrap();
-    let stdout = run_ok(&plan_args);
+    // A sidecar that times none of the selection is an error naming
+    // it, not a quiet fall back to unit weights.
+    let sidecar = telemetry_path(&baseline).display().to_string();
+    let mut untimed_args = plan_args;
+    untimed_args[2] = "dram-controller";
+    untimed_args[4] = "bus-arbitration";
+    let out = campaign(&untimed_args, None);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stdout.contains("metric-magnitude proxy"),
-        "without a sidecar the proxy must be named: {stdout}"
+        stderr.contains(&sidecar) && stderr.contains("times none"),
+        "got: {stderr}"
     );
-    let proxy = harness::dist::Manifest::load(&manifest_path).unwrap();
-    assert_ne!(
-        timed.per_scenario, proxy.per_scenario,
-        "measured and proxy weights must genuinely differ"
+
+    // Without the sidecar, the same command errors naming the path.
+    std::fs::remove_file(telemetry_path(&baseline)).unwrap();
+    let out = campaign(&plan_args, None);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&sidecar) && stderr.contains("no telemetry sidecar"),
+        "got: {stderr}"
     );
     // The calibrated manifest still runs: a lone stealing shard sweeps
     // the whole campaign (weights are advisory, never results).
