@@ -71,8 +71,10 @@ impl GenOptions {
 }
 
 /// The gen-backed scenarios over the options' corpus, in registration
-/// order. The corpus digest is computed once here (it materializes the
-/// whole population) and shared by all three scenarios' specs.
+/// order. The corpus digest is computed once here, eagerly, and shared
+/// by all three scenarios' specs. It materializes the whole population
+/// ([`Corpus::digest`] gives the cost), which makes it most of a
+/// gen-sweep registry's build time.
 pub fn scenarios(options: &GenOptions) -> Vec<Box<dyn Scenario>> {
     let corpus = options.corpus();
     let digest = corpus.digest();

@@ -35,7 +35,8 @@ pub struct GenScenario {
     backend: GenBackend,
     corpus: Corpus,
     /// The corpus digest, computed once at registration (it generates
-    /// the whole population) and served from every `spec()` call.
+    /// the whole population; see [`Corpus::digest`] for the cost) and
+    /// served from every `spec()` call.
     digest: String,
 }
 

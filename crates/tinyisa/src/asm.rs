@@ -348,67 +348,88 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
 }
 
 /// Disassembles a program back to assembler source accepted by
-/// [`assemble`]; labels are invented (`L<idx>`) for targets that have
-/// none.
+/// [`assemble`].
+///
+/// A pc gets at most one ordinary label line: the first label by name
+/// order at that pc, omitted when it names a function starting there
+/// (`.func` defines it). A label that a `.loopbound` names is printed
+/// as well, on its own line, when another label comes first at its
+/// pc. A target prints as the first label at its pc, or as the raw
+/// `@N` form when that pc has no label; no label is invented. An empty
+/// function opens and closes where it starts, and labels and empty
+/// functions placed after the last instruction follow it. The output
+/// is byte-stable: disassembling the reassembled program gives it
+/// back.
+///
+/// An unvalidated program ([`Program::from_instrs`]) disassembles
+/// without panicking: out-of-range targets print as `@N` and labels
+/// past the end are dropped.
 pub fn disassemble(program: &Program) -> String {
-    use std::collections::BTreeSet;
-    let mut target_pcs: BTreeSet<Target> = BTreeSet::new();
-    for ins in &program.instrs {
-        if let Some(t) = ins.target() {
-            target_pcs.insert(t);
+    let mut out = String::with_capacity(24 * program.instrs.len() + 16 * program.labels.len());
+    write_disassembly(program, &mut out).expect("writing to a String cannot fail");
+    out
+}
+
+/// Writes [`disassemble`]'s output to `out` in one pass over the
+/// program.
+pub(crate) fn write_disassembly(program: &Program, out: &mut dyn fmt::Write) -> fmt::Result {
+    let n = program.instrs.len();
+    // The first label by name order at each pc; slot `n` is the end.
+    let mut first: Vec<Option<&str>> = vec![None; n + 1];
+    for (name, &pc) in &program.labels {
+        if let Some(slot @ None) = first.get_mut(pc as usize) {
+            *slot = Some(name);
         }
     }
-    let label_for = |pc: Target| -> Option<String> {
-        if let Some(name) = program.label_at(pc) {
-            Some(name.to_string())
-        } else if target_pcs.contains(&pc) {
-            Some(format!("L{pc}"))
-        } else {
-            None
+    // Loop-bound labels that are not the first label at their pc.
+    let mut extra: Vec<(Target, &str)> = program
+        .loop_bounds
+        .keys()
+        .filter_map(|name| Some((program.resolve(name)?, name.as_str())))
+        .filter(|&(pc, name)| matches!(first.get(pc as usize), Some(&Some(l)) if l != name))
+        .collect();
+    extra.sort_unstable();
+    let mut extra = extra.into_iter().peekable();
+
+    // What precedes the instruction at `pc` (or, at `n`, ends the
+    // text): the functions opening there, empty ones closed at once,
+    // then its labels.
+    let mut head = |out: &mut dyn fmt::Write, pc: Target| -> fmt::Result {
+        let opening = || program.functions.iter().filter(move |f| f.start == pc);
+        for f in opening() {
+            writeln!(out, ".func {}", f.name)?;
+            if f.is_empty() {
+                out.write_str(".endfunc\n")?;
+            }
         }
-    };
-    // `.func name` re-defines `name` as a label, so suppress a separate
-    // `name:` line at function entries.
-    let func_entry_label = |pc: Target| -> Option<&str> {
-        program
-            .functions
-            .iter()
-            .find(|f| f.start == pc)
-            .map(|f| f.name.as_str())
+        let extras = std::iter::from_fn(|| extra.next_if(|&(at, _)| at == pc).map(|(_, l)| l));
+        for label in first[pc as usize].into_iter().chain(extras) {
+            if !opening().any(|f| f.name == label) {
+                writeln!(out, "{label}:")?;
+            }
+        }
+        Ok(())
     };
 
-    let mut out = String::new();
     for (pc, ins) in program.instrs.iter().enumerate() {
         let pc = pc as Target;
-        for f in &program.functions {
-            if f.start == pc {
-                out.push_str(&format!(".func {}\n", f.name));
-            }
+        head(out, pc)?;
+        out.write_str("    ")?;
+        match ins.target().and_then(|t| *first.get(t as usize)?) {
+            Some(label) => ins.write_with_target(out, &label)?,
+            None => write!(out, "{ins}")?,
         }
-        if let Some(l) = label_for(pc) {
-            if func_entry_label(pc) != Some(l.as_str()) {
-                out.push_str(&format!("{l}:\n"));
-            }
-        }
-        let text = match ins.target() {
-            Some(t) => {
-                let base = ins.to_string();
-                let at = format!("@{t}");
-                base.replace(&at, &label_for(t).unwrap_or(at.clone()))
-            }
-            None => ins.to_string(),
-        };
-        out.push_str(&format!("    {text}\n"));
-        for f in &program.functions {
-            if f.end == pc + 1 {
-                out.push_str(".endfunc\n");
-            }
+        out.write_char('\n')?;
+        let closing = program.functions.iter().filter(|f| f.end == pc + 1);
+        for _ in closing.filter(|f| !f.is_empty()) {
+            out.write_str(".endfunc\n")?;
         }
     }
+    head(out, n as Target)?;
     for (label, bound) in &program.loop_bounds {
-        out.push_str(&format!(".loopbound {label} {bound}\n"));
+        writeln!(out, ".loopbound {label} {bound}")?;
     }
-    out
+    Ok(())
 }
 
 #[cfg(test)]
@@ -545,7 +566,7 @@ mod tests {
 
     #[test]
     fn disassemble_round_trip() {
-        let original = assemble(
+        round_trip(
             r"
         .func main
             li r1, 3
@@ -564,12 +585,63 @@ mod tests {
         .endfunc
         .loopbound loop 3
         ",
-        )
-        .unwrap();
+        );
+    }
+
+    /// Disassembles `src`, reassembles the text and checks the program
+    /// survives; returns the text.
+    fn round_trip(src: &str) -> String {
+        let original = assemble(src).unwrap();
         let text = disassemble(&original);
-        let again = assemble(&text).unwrap();
+        let again = assemble(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
         assert_eq!(original.instrs, again.instrs);
         assert_eq!(original.functions, again.functions);
         assert_eq!(original.loop_bounds, again.loop_bounds);
+        assert_eq!(disassemble(&again), text, "not a fixpoint");
+        text
+    }
+
+    #[test]
+    fn unlabelled_targets_print_raw_and_never_collide_with_labels() {
+        // An invented `L1` would duplicate the real label `L1` at pc 0.
+        let text = round_trip("L1:\n    jmp @1\n    halt\n");
+        assert_eq!(text, "L1:\n    jmp @1\n    halt\n");
+    }
+
+    #[test]
+    fn loop_bound_labels_sharing_a_pc_are_kept() {
+        // `a` comes first at pc 1; `loop` must still be defined.
+        let text = round_trip(
+            "    li r1, 2\na:\nloop:\n    addi r1, r1, -1\n    bne r1, r0, loop\n    halt\n.loopbound loop 2\n",
+        );
+        assert!(text.contains("a:\nloop:\n    addi"), "{text}");
+        assert!(text.contains("bne r1, r0, a\n"), "{text}");
+    }
+
+    #[test]
+    fn trailing_loop_bound_labels_are_kept() {
+        let text = round_trip("    halt\nend:\n.loopbound end 1\n");
+        assert_eq!(text, "    halt\nend:\n.loopbound end 1\n");
+    }
+
+    #[test]
+    fn empty_functions_open_and_close_in_place() {
+        let src = ".func a\n.endfunc\n.func main\n    halt\n.endfunc\n.func z\n.endfunc\n";
+        assert_eq!(round_trip(src), src);
+    }
+
+    #[test]
+    fn unvalidated_programs_disassemble_without_panicking() {
+        let mut p = Program::from_instrs(vec![Instr::Jmp(7), Instr::Call(u32::MAX), Instr::Halt]);
+        p.labels.insert("far".into(), 99);
+        p.loop_bounds.insert("far".into(), 1);
+        p.loop_bounds.insert("ghost".into(), 1);
+        assert_eq!(
+            disassemble(&p),
+            format!(
+                "    jmp @7\n    call @{}\n    halt\n.loopbound far 1\n.loopbound ghost 1\n",
+                u32::MAX
+            )
+        );
     }
 }

@@ -7,11 +7,21 @@
 //! if/else, fixed-bound counted loops), so the resulting CFGs are
 //! reducible, every loop carries a sound `.loopbound` annotation, and
 //! all memory accesses stay inside a designated scratch region.
+//!
+//! Programs are built as [`Instr`]s directly, with no assembly text in
+//! between: forward branches are patched once their label is placed,
+//! and the labels, the `generated` function extent and the loop bounds
+//! are recorded as the assembler would record them for the equivalent
+//! source. [`canonical_source`] is that source.
 
+use crate::instr::{Instr, Target};
 use crate::kernels::Kernel;
+use crate::program::{Function, Program};
 use crate::reg::Reg;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+use std::fmt;
 
 /// Configuration for the program generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,11 +54,27 @@ impl Default for GenConfig {
     }
 }
 
+/// The address register of generated loads and stores.
+const ADDR: Reg = Reg::new(14);
+/// The three-register ALU operations, in the order the generator draws.
+const ALU: [fn(Reg, Reg, Reg) -> Instr; 7] = [
+    Instr::Add,
+    Instr::Sub,
+    Instr::Mul,
+    Instr::And,
+    Instr::Or,
+    Instr::Xor,
+    Instr::Slt,
+];
+/// The conditional branches, in the order the generator draws.
+const BRANCH: [fn(Reg, Reg, Target) -> Instr; 4] = [Instr::Beq, Instr::Bne, Instr::Blt, Instr::Bge];
+
 struct Gen {
     rng: StdRng,
     config: GenConfig,
-    lines: Vec<String>,
-    bounds: Vec<(String, u32)>,
+    instrs: Vec<Instr>,
+    labels: BTreeMap<String, Target>,
+    bounds: BTreeMap<String, u32>,
     next_label: u32,
 }
 
@@ -60,57 +86,79 @@ impl Gen {
     }
 
     /// Data registers are r1..r9; loop counters r10..r13.
-    fn data_reg(&mut self) -> u8 {
-        self.rng.random_range(1..=9)
+    fn data_reg(&mut self) -> Reg {
+        Reg::new(self.rng.random_range(1..=9u8))
     }
 
-    fn emit(&mut self, line: impl Into<String>) {
-        self.lines.push(format!("    {}", line.into()));
+    fn pc(&self) -> Target {
+        self.instrs.len() as Target
     }
 
-    fn emit_label(&mut self, label: &str) {
-        self.lines.push(format!("{label}:"));
+    /// Places `label` at the next pc and returns that pc.
+    fn place(&mut self, label: String) -> Target {
+        let pc = self.pc();
+        self.labels.insert(label, pc);
+        pc
+    }
+
+    /// Points the branch or jump at `at` to `target`.
+    fn patch(&mut self, at: Target, target: Target) {
+        let ins = &mut self.instrs[at as usize];
+        *ins = ins.with_target(target);
     }
 
     fn statement(&mut self, depth: u32) {
-        let choice = self.rng.random_range(0..100);
+        let choice: i32 = self.rng.random_range(0..100);
         match choice {
             // Plain ALU on data registers.
             0..=39 => {
                 let d = self.data_reg();
                 let a = self.data_reg();
                 let b = self.data_reg();
-                let op =
-                    ["add", "sub", "mul", "and", "or", "xor", "slt"][self.rng.random_range(0..7)];
-                self.emit(format!("{op} r{d}, r{a}, r{b}"));
+                let op: usize = self.rng.random_range(0..7);
+                self.instrs.push(ALU[op](d, a, b));
             }
             40..=49 => {
                 let d = self.data_reg();
                 let a = self.data_reg();
-                let imm = self.rng.random_range(-64..=64);
-                self.emit(format!("addi r{d}, r{a}, {imm}"));
+                let imm: i32 = self.rng.random_range(-64..=64);
+                self.instrs.push(Instr::Addi(d, a, imm));
             }
             // Fixed-address load/store within the scratch region.
             50..=59 => {
                 let d = self.data_reg();
-                let off = self.rng.random_range(0..self.config.mem_len);
+                let off: u32 = self.rng.random_range(0..self.config.mem_len);
                 let addr = self.config.mem_base + off;
-                self.emit(format!("li r14, {addr}"));
-                if self.rng.random_bool(0.5) {
-                    self.emit(format!("ld r{d}, (r14)"));
+                self.instrs.push(Instr::Li(ADDR, addr.into()));
+                let ins = if self.rng.random_bool(0.5) {
+                    Instr::Ld {
+                        rd: d,
+                        base: ADDR,
+                        offset: 0,
+                    }
                 } else {
-                    self.emit(format!("st r{d}, (r14)"));
-                }
+                    Instr::St {
+                        rs: d,
+                        base: ADDR,
+                        offset: 0,
+                    }
+                };
+                self.instrs.push(ins);
             }
             // Data-dependent (masked) load: address = base + (reg & mask).
             60..=69 => {
                 let d = self.data_reg();
                 let a = self.data_reg();
                 let mask = self.config.mem_len - 1;
-                self.emit(format!("li r14, {mask}"));
-                self.emit(format!("and r14, r{a}, r14"));
-                self.emit(format!("addi r14, r14, {}", self.config.mem_base));
-                self.emit(format!("ld r{d}, (r14)"));
+                self.instrs.push(Instr::Li(ADDR, mask.into()));
+                self.instrs.push(Instr::And(ADDR, a, ADDR));
+                self.instrs
+                    .push(Instr::Addi(ADDR, ADDR, self.config.mem_base as i32));
+                self.instrs.push(Instr::Ld {
+                    rd: d,
+                    base: ADDR,
+                    offset: 0,
+                });
             }
             // Conditional.
             70..=84 if depth < self.config.max_depth => self.if_else(depth),
@@ -120,7 +168,7 @@ impl Gen {
             _ => {
                 let d = self.data_reg();
                 let a = self.data_reg();
-                self.emit(format!("add r{d}, r{a}, r0"));
+                self.instrs.push(Instr::Add(d, a, Reg::ZERO));
             }
         }
     }
@@ -137,31 +185,38 @@ impl Gen {
         let b = self.data_reg();
         let then_l = self.fresh_label("then");
         let end_l = self.fresh_label("endif");
-        let cond = ["beq", "bne", "blt", "bge"][self.rng.random_range(0..4)];
-        self.emit(format!("{cond} r{a}, r{b}, {then_l}"));
+        let cond: usize = self.rng.random_range(0..4);
+        let branch = self.pc();
+        self.instrs.push(BRANCH[cond](a, b, 0));
         self.block(depth + 1); // else side
-        self.emit(format!("jmp {end_l}"));
-        self.emit_label(&then_l);
+        let jump = self.pc();
+        self.instrs.push(Instr::Jmp(0));
+        let then_pc = self.place(then_l);
+        self.patch(branch, then_pc);
         self.block(depth + 1); // then side
-        self.emit_label(&end_l);
+        let end_pc = self.place(end_l);
+        self.patch(jump, end_pc);
     }
 
     fn counted_loop(&mut self, depth: u32) {
         // Counter register depends on depth so nested loops never clash.
-        let counter = 10 + depth.min(3);
+        let counter = Reg::new(10 + depth.min(3) as u8);
         let iters = self.rng.random_range(1..=self.config.max_loop_iters);
         let head = self.fresh_label("loop");
-        self.emit(format!("li r{counter}, {iters}"));
-        self.emit_label(&head);
+        self.instrs.push(Instr::Li(counter, iters.into()));
+        let head_pc = self.place(head.clone());
         self.block(depth + 1);
-        self.emit(format!("addi r{counter}, r{counter}, -1"));
-        self.emit(format!("bne r{counter}, r0, {head}"));
-        self.bounds.push((head, iters));
+        self.instrs.push(Instr::Addi(counter, counter, -1));
+        self.instrs.push(Instr::Bne(counter, Reg::ZERO, head_pc));
+        self.bounds.insert(head, iters);
     }
 }
 
-/// Generates a random structured program. Equal `(seed, config)` pairs
-/// generate identical programs.
+/// Generates a random structured program as one function `generated`
+/// ending in `halt`. Equal `(seed, config)` pairs generate identical
+/// programs. Branch targets are labelled `then_N`, `endif_N` and
+/// `loop_N` (one counter shared by all three), and every `loop_N`
+/// carries its iteration count as a loop bound.
 ///
 /// # Panics
 ///
@@ -173,24 +228,32 @@ pub fn generate(seed: u64, config: &GenConfig) -> Kernel {
         "mem_len must be a power of two"
     );
     assert!(config.input_regs <= 4, "at most four input registers");
+    let name = "generated";
     let mut g = Gen {
         rng: StdRng::seed_from_u64(seed),
         config: *config,
-        lines: vec![".func generated".to_string()],
-        bounds: Vec::new(),
+        instrs: Vec::new(),
+        labels: BTreeMap::from([(name.to_string(), 0)]),
+        bounds: BTreeMap::new(),
         next_label: 0,
     };
     g.block(0);
-    g.emit("halt");
-    g.lines.push(".endfunc".to_string());
-    for (label, iters) in g.bounds.clone() {
-        g.lines.push(format!(".loopbound {label} {iters}"));
+    g.instrs.push(Instr::Halt);
+    let program = Program {
+        functions: vec![Function {
+            name: name.to_string(),
+            start: 0,
+            end: g.pc(),
+        }],
+        instrs: g.instrs,
+        labels: g.labels,
+        loop_bounds: g.bounds,
+    };
+    if let Err(e) = program.validate() {
+        panic!("generator produced an invalid program: {e}");
     }
-    let src = g.lines.join("\n");
-    let program = crate::asm::assemble(&src)
-        .unwrap_or_else(|e| panic!("generator produced invalid program: {e}\n{src}"));
     Kernel {
-        name: "generated",
+        name,
         program,
         input_regs: (1..=config.input_regs).map(Reg::new).collect(),
         input_mem: Some((config.mem_base, config.mem_len)),
@@ -210,15 +273,22 @@ pub fn canonical_source(kernel: &Kernel) -> String {
 /// `(seed, config)` pairs digest identically on every platform; any
 /// change to the generator that alters emitted code changes the digest,
 /// which is how sweep campaigns detect *corpus drift* the way sharded
-/// campaigns detect registry drift.
+/// campaigns detect registry drift. The source is hashed as it is
+/// written, without building the string.
 pub fn kernel_digest(kernel: &Kernel) -> String {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut h = FNV_OFFSET;
-    for &b in canonical_source(kernel).as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+    struct Fnv(u64);
+    impl fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            for &b in s.as_bytes() {
+                self.0 ^= b as u64;
+                self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+            }
+            Ok(())
+        }
     }
-    format!("{h:016x}")
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    crate::asm::write_disassembly(&kernel.program, &mut h).expect("hashing cannot fail");
+    format!("{:016x}", h.0)
 }
 
 #[cfg(test)]
@@ -359,21 +429,56 @@ mod tests {
     }
 
     #[test]
+    fn digests_are_pinned() {
+        // Values of the text-assembling generator this one replaced: a
+        // change here is corpus drift for every recorded campaign.
+        let c = GenConfig::default();
+        let c2 = GenConfig {
+            max_stmts: 4,
+            ..GenConfig::default()
+        };
+        assert_eq!(kernel_digest(&generate(7, &c)), "9abc51925bf0ff45");
+        assert_eq!(kernel_digest(&generate(8, &c)), "706311fafd92cef1");
+        assert_eq!(kernel_digest(&generate(7, &c2)), "337639bd278f2c40");
+    }
+
+    #[test]
     fn disassembly_is_a_stable_fixpoint() {
         // The canonical source must survive an assemble/disassemble
         // round trip byte-identically (including loop bounds) — the
-        // property that makes it a sound digest input.
-        for seed in 0..20 {
-            let k = generate(seed, &GenConfig::default());
-            let src = canonical_source(&k);
-            let back = crate::asm::assemble(&src).expect("disassembly must reassemble");
-            assert_eq!(back.loop_bounds, k.program.loop_bounds, "seed {seed}");
-            let k2 = Kernel {
-                program: back,
-                ..k.clone()
-            };
-            assert_eq!(src, canonical_source(&k2), "seed {seed}: not a fixpoint");
-            assert_eq!(kernel_digest(&k), kernel_digest(&k2), "seed {seed}");
+        // property that makes it a sound digest input. The shapes are
+        // the eight the harness corpus sweeps (depth × stmts × iters).
+        for depth in [2, 3] {
+            for stmts in [3, 6] {
+                for iters in [4, 8] {
+                    let config = GenConfig {
+                        max_depth: depth,
+                        max_stmts: stmts,
+                        max_loop_iters: iters,
+                        ..GenConfig::default()
+                    };
+                    for seed in 0..500 {
+                        let at = format!("depth {depth} stmts {stmts} iters {iters} seed {seed}");
+                        let k = generate(seed, &config);
+                        let src = canonical_source(&k);
+                        let back = crate::asm::assemble(&src).expect("disassembly must reassemble");
+                        assert_eq!(back.instrs, k.program.instrs, "{at}");
+                        assert_eq!(back.functions, k.program.functions, "{at}");
+                        assert_eq!(back.loop_bounds, k.program.loop_bounds, "{at}");
+                        let k2 = Kernel {
+                            program: back,
+                            ..k.clone()
+                        };
+                        assert_eq!(src, canonical_source(&k2), "{at}: not a fixpoint");
+                        // The streamed digest is FNV-1a over the source.
+                        let fnv = src.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+                        });
+                        assert_eq!(kernel_digest(&k), format!("{fnv:016x}"), "{at}");
+                        assert_eq!(kernel_digest(&k), kernel_digest(&k2), "{at}");
+                    }
+                }
+            }
         }
     }
 

@@ -212,10 +212,15 @@ impl Instr {
     pub fn is_cond_branch(&self) -> bool {
         self.class() == OpClass::Branch
     }
-}
 
-impl fmt::Display for Instr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    /// Writes the instruction in assembler syntax with its static target
+    /// (if it has one) rendered as `target`: [`fmt::Display`] passes
+    /// `@N`, the disassembler the target's label.
+    pub(crate) fn write_with_target(
+        &self,
+        f: &mut dyn fmt::Write,
+        target: &dyn fmt::Display,
+    ) -> fmt::Result {
         use Instr::*;
         match *self {
             Add(d, a, b) => write!(f, "add {d}, {a}, {b}"),
@@ -234,16 +239,23 @@ impl fmt::Display for Instr {
             Li(d, imm) => write!(f, "li {d}, {imm}"),
             Ld { rd, base, offset } => write!(f, "ld {rd}, {offset}({base})"),
             St { rs, base, offset } => write!(f, "st {rs}, {offset}({base})"),
-            Beq(a, b, t) => write!(f, "beq {a}, {b}, @{t}"),
-            Bne(a, b, t) => write!(f, "bne {a}, {b}, @{t}"),
-            Blt(a, b, t) => write!(f, "blt {a}, {b}, @{t}"),
-            Bge(a, b, t) => write!(f, "bge {a}, {b}, @{t}"),
-            Jmp(t) => write!(f, "jmp @{t}"),
-            Call(t) => write!(f, "call @{t}"),
-            Ret => write!(f, "ret"),
-            Nop => write!(f, "nop"),
-            Halt => write!(f, "halt"),
+            Beq(a, b, _) => write!(f, "beq {a}, {b}, {target}"),
+            Bne(a, b, _) => write!(f, "bne {a}, {b}, {target}"),
+            Blt(a, b, _) => write!(f, "blt {a}, {b}, {target}"),
+            Bge(a, b, _) => write!(f, "bge {a}, {b}, {target}"),
+            Jmp(_) => write!(f, "jmp {target}"),
+            Call(_) => write!(f, "call {target}"),
+            Ret => f.write_str("ret"),
+            Nop => f.write_str("nop"),
+            Halt => f.write_str("halt"),
         }
+    }
+}
+
+impl fmt::Display for Instr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let t = self.target().unwrap_or(0);
+        self.write_with_target(f, &format_args!("@{t}"))
     }
 }
 
