@@ -7,7 +7,7 @@
 //! cargo run -p harness --bin campaign -- list
 //! cargo run -p harness --bin campaign -- run [--scenario ID]... [--filter AXIS=VALUE]...
 //!         [--threads N] [--seed S] [--corpus-size N] [--store PATH] [--json PATH]
-//!         [--csv PATH] [--quiet] [--resume] [--checkpoint-every N] [--progress]
+//!         [--csv PATH] [--quiet] [--compact-journal-over N] [--progress]
 //! cargo run -p harness --bin campaign -- report [same flags as run]
 //! cargo run -p harness --bin campaign -- gen [--seed S] [--corpus-size N]
 //!         [--filter A=V]... [--disasm]
@@ -16,7 +16,7 @@
 //!         [--calibrate STORE]
 //! cargo run -p harness --bin campaign -- shard --manifest PATH --index I
 //!         [--store PATH] [--threads N] [--json PATH] [--csv PATH] [--quiet]
-//!         [--steal] [--leases DIR] [--resume] [--checkpoint-every N] [--progress]
+//!         [--steal] [--leases DIR] [--compact-journal-over N] [--progress]
 //! cargo run -p harness --bin campaign -- merge --out PATH [--manifest PATH] STORE...
 //! cargo run -p harness --bin campaign -- diff BASELINE COMPARED [--tol METRIC=EPS]...
 //!         [--tol-default EPS] [--quiet]
@@ -24,8 +24,8 @@
 //!         [--seed S] [--corpus-size N] [--max-cells N]
 //! cargo run -p harness --bin campaign -- trace FILE
 //! cargo run -p harness --bin campaign -- serve --store PATH [--addr HOST:PORT]
-//!         [--accept-pool N] [--threads N] [--checkpoint-every N]
-//!         [--compact-journal-over N] [--slowlog-over-us N] [--port-file PATH]
+//!         [--accept-pool N] [--threads N] [--compact-journal-over N]
+//!         [--slowlog-over-us N] [--port-file PATH]
 //!         [--trace FILE] [--quiet]
 //! cargo run -p harness --bin campaign -- top (--addr HOST:PORT | --port-file PATH)
 //!         [--interval-ms N] [--once]
@@ -34,10 +34,10 @@
 //! `run` prints per-cell metrics; `report` prints the Table-1/2-style
 //! evidence summary joined against `predictability_core::catalog`.
 //! Both memoize through `--store` (results persist across invocations).
-//! With `--checkpoint-every N` every completed cell is appended to an
-//! append-only journal beside the store (fsync'd every N cells), and a
-//! campaign killed mid-run resumes with `--resume` from the last
-//! completed cell — zero recompute. `shard` runs its initial lease of
+//! Every completed cell of a stored run is appended to a journal beside
+//! the store, and the run ends by folding the journal into the store, so
+//! a campaign killed mid-run resumes when the same command is run again
+//! — zero recompute. `shard` runs its initial lease of
 //! the manifest's chunk map; `shard --steal` claims it through the
 //! lease-file work-stealing protocol and then steals unclaimed chunks.
 //!
@@ -84,12 +84,9 @@ struct Options {
     dry_run: bool,
     max_cells: Option<usize>,
     max_age_days: Option<u64>,
-    compact_journal: bool,
     // convert flags
     to: Option<String>,
-    // resume/checkpoint flags
-    resume: bool,
-    checkpoint_every: Option<usize>,
+    // journal flags
     compact_journal_over: Option<usize>,
     progress: bool,
     // serve flags
@@ -171,19 +168,20 @@ replicates & distributions (run/report; also plan):
                      to the fold (default: only the fold survives);
                      on merge, keep raws in the fused store too
 
-crash-resumable execution (run/report/shard; all need --store):
-  --checkpoint-every N  append every completed cell to an append-only
-                     journal beside the store, fsync'd every N cells;
-                     on success the journal is compacted into the store
-  --resume           replay the journal before running: a campaign
-                     killed mid-run continues from the last completed
-                     cell with zero recompute
+crash-resumable execution (run/report/shard with --store):
+  every completed cell is appended to a journal beside the store
+  (<store>.journal, JSON lines, fsync'd every 16 cells) and the run ends
+  by folding the journal into the store. A run killed mid-campaign
+  loses at most a torn final line (a power loss or OS crash at most the
+  unsynced batch): run the same command again and it prints `N journal
+  cells replayed` and executes only the remaining cells. A store a
+  live `campaign serve` holds is refused
   --progress         live progress heartbeats on stderr
-  --compact-journal-over N  (needs --checkpoint-every) fold the journal
-                     into the checkpoint mid-run whenever it exceeds N
-                     lines, so a very long campaign's replay cost stays
-                     bounded; the final store bytes are identical with
-                     and without it
+  --compact-journal-over N  (needs --store) fold the journal into the
+                     checkpoint mid-run whenever it exceeds N lines, so
+                     a very long campaign's replay cost stays bounded;
+                     the final store bytes are identical with and
+                     without it
 
 wall-clock telemetry (run/report/shard; needs --store):
   --telemetry        append per-cell wall-clock durations and last-hit
@@ -236,12 +234,12 @@ distributed campaigns:
          next to the manifest).
          Leases belong to one campaign attempt: a stale lease dir from
          an earlier plan is rejected, and after a crashed attempt you
-         remove the dir and re-run all shards with --resume (journaled
-         cells replay; only the dead shard's unfinished chunks
-         recompute)
+         remove the dir and re-run all shards (journaled cells replay;
+         only the dead shard's unfinished chunks recompute)
   merge  --out PATH [--manifest PATH] [--report] [--leases DIR]
          [--keep-replicates] STORE...
-         fuse shard stores (conflict = determinism violation -> exit 2);
+         fuse shard stores, each input's journal replayed in memory
+         (conflict = determinism violation -> exit 2);
          with --manifest, also verify exact planned-cell coverage and,
          for a replicated manifest, fold each replicate group into its
          distribution cell (drop the raws unless --keep-replicates) —
@@ -263,7 +261,7 @@ distributed campaigns:
 
 result-store lifecycle:
   gc     --store PATH [--dry-run] [--seed S] [--corpus-size N]
-         [--max-cells N] [--max-age-days N] [--compact-journal]
+         [--max-cells N] [--max-age-days N]
          drop cells the current registry can no longer serve (stale
          schema, unregistered scenario, old implementation version);
          --max-age-days evicts cells whose last telemetry-recorded
@@ -271,9 +269,9 @@ result-store lifecycle:
          are treated as oldest); --max-cells additionally evicts down
          to N cells (oldest implementation version first, then stable
          fingerprint order); --dry-run reports without rewriting the
-         store. A store with a journal sidecar is refused (a later
-         --resume would replay evicted cells right back); pass
-         --compact-journal to fold the journal into the store first
+         store. A journal beside the store is folded in first, so its
+         cells are collected too (a dry run folds only in memory); an
+         old-schema store with a journal is refused
   convert --store PATH --to bin|json [--out PATH]
          rewrite a result store in the other checkpoint format: `bin`
          is the binary columnar layout (interned strings, fixed-width
@@ -282,15 +280,15 @@ result-store lifecycle:
          `json` is the readable interchange format. Conversion is
          canonical and lossless — json -> bin -> json reproduces the
          original checkpoint byte-identically. Default --out is the
-         store path itself (in place). Every command sniffs the format
-         by magic, so either format works anywhere a store is accepted;
+         store path itself (in place). A journal beside the store is
+         folded into the output. Every command sniffs the format by
+         magic, so either format works anywhere a store is accepted;
          journal sidecars stay JSON-lines in both cases
 
 always-on campaign serving:
   serve  --store PATH [--addr HOST:PORT] [--accept-pool N] [--threads N]
-         [--checkpoint-every N] [--compact-journal-over N]
-         [--slowlog-over-us N] [--port-file PATH] [--trace FILE]
-         [--quiet]
+         [--compact-journal-over N] [--slowlog-over-us N]
+         [--port-file PATH] [--trace FILE] [--quiet]
          run the campaign daemon: open the store resumably (journal
          replay included), build a hot in-memory index over its cells
          and answer a line-delimited JSON protocol over TCP — one
@@ -307,9 +305,10 @@ always-on campaign serving:
          default 10000) and shutdown (drain, checkpoint, fsync,
          release the lock). Default --addr 127.0.0.1:0 binds an
          ephemeral port; --port-file writes the bound address for
-         scripts. A live daemon holds <store>.lock: gc and merge
-         refuse its store until shutdown, while a dead daemon's lock
-         is detected as stale and broken automatically
+         scripts. A live daemon holds <store>.lock: run, report,
+         shard, gc, convert and merge refuse its store until shutdown,
+         while a dead daemon's lock is detected as stale and broken
+         automatically
   top    (--addr HOST:PORT | --port-file PATH) [--interval-ms N]
          [--once]
          live terminal view of a running daemon: polls stats, metrics
@@ -341,10 +340,7 @@ fn parse(mut args: std::env::Args) -> Result<Options, String> {
         dry_run: false,
         max_cells: None,
         max_age_days: None,
-        compact_journal: false,
         to: None,
-        resume: false,
-        checkpoint_every: None,
         compact_journal_over: None,
         progress: false,
         addr: None,
@@ -415,21 +411,10 @@ fn parse(mut args: std::env::Args) -> Result<Options, String> {
             "--max-age-days" => {
                 options.max_age_days = Some(number("--max-age-days", value("--max-age-days")?)?)
             }
-            "--compact-journal" => options.compact_journal = true,
             "--to" => options.to = Some(value("--to")?),
             "--telemetry" => options.telemetry = true,
             "--trace" => options.trace = Some(PathBuf::from(value("--trace")?)),
             "--report" => options.steal_report = true,
-            "--resume" => options.resume = true,
-            "--checkpoint-every" => {
-                options.checkpoint_every = Some(
-                    number("--checkpoint-every", value("--checkpoint-every")?)
-                        .ok()
-                        .filter(|n| *n >= 1)
-                        .ok_or("--checkpoint-every needs an integer >= 1")?
-                        as usize,
-                )
-            }
             "--compact-journal-over" => {
                 options.compact_journal_over = Some(
                     number("--compact-journal-over", value("--compact-journal-over")?)
@@ -548,8 +533,6 @@ fn run(options: Options) -> Result<u8, String> {
             "--json",
             "--csv",
             "--quiet",
-            "--resume",
-            "--checkpoint-every",
             "--compact-journal-over",
             "--progress",
             "--telemetry",
@@ -579,8 +562,6 @@ fn run(options: Options) -> Result<u8, String> {
             "--quiet",
             "--steal",
             "--leases",
-            "--resume",
-            "--checkpoint-every",
             "--compact-journal-over",
             "--progress",
             "--telemetry",
@@ -604,7 +585,6 @@ fn run(options: Options) -> Result<u8, String> {
             "--corpus-size",
             "--max-cells",
             "--max-age-days",
-            "--compact-journal",
             "--quiet",
         ],
         "convert" => &["--store", "--to", "--out", "--quiet"],
@@ -613,7 +593,6 @@ fn run(options: Options) -> Result<u8, String> {
             "--addr",
             "--accept-pool",
             "--threads",
-            "--checkpoint-every",
             "--compact-journal-over",
             "--slowlog-over-us",
             "--port-file",
@@ -689,7 +668,8 @@ fn gen(options: &Options) -> Result<u8, String> {
 
 fn gc(registry: &Registry, options: &Options) -> Result<u8, String> {
     let path = options.store.as_deref().ok_or("gc needs --store PATH")?;
-    if !path.exists() {
+    let journal = store::journal_path(path);
+    if !path.exists() && !journal.exists() {
         return Err(format!("no such store: {}", path.display()));
     }
     // A live `campaign serve` checkpoints this store on its own
@@ -699,59 +679,34 @@ fn gc(registry: &Registry, options: &Options) -> Result<u8, String> {
         serve_lock::refuse_if_live(path, "gc").map_err(|e| e.to_string())?,
         path,
     );
-    // A journal sidecar holds cells the store file does not: gc'ing the
-    // store alone would be silently undone by the next `--resume`,
-    // which replays every journaled cell — evicted ones included —
-    // straight back. Refuse, or fold the pair together first.
-    let journal = store::journal_path(path);
-    let mut doc = load_store_doc(path)?;
+    // A journal sidecar holds cells the store file does not, and the
+    // next open replays every one of them — evicted ones included —
+    // straight back. So gc folds the pair first and rewrites it as a
+    // checkpoint, which removes the journal.
+    // A run killed before its first checkpoint leaves only a journal.
+    let mut doc = if path.exists() {
+        load_store_doc(path)?
+    } else {
+        ResultStore::new().to_json()
+    };
     if journal.exists() {
-        if !options.compact_journal {
-            return Err(format!(
-                "store has a journal sidecar ({}): gc would be undone by a later --resume \
-                 replaying evicted cells back in — pass --compact-journal to fold the journal \
-                 into the store first, or finish the campaign it belongs to",
-                journal.display()
-            ));
-        }
-        // An old-schema checkpoint loads *empty* through
-        // open_resumable: compacting it would overwrite the file with
-        // nothing before gc could report its cells as stale-schema
-        // drops. Leave that store to the plain gc path.
+        // An old-schema checkpoint opens *empty*: folding it would
+        // overwrite the file with nothing before gc could report its
+        // cells as stale-schema drops. Refuse instead.
         let schema = doc.get("schema").and_then(Json::as_f64).unwrap_or(0.0) as u32;
         if schema != store::SCHEMA_VERSION {
             return Err(format!(
-                "store {} has schema {schema} (current {}): compacting would silently \
-                 discard its cells before gc could report them — remove the journal ({}) \
-                 by hand, then re-run gc",
+                "store {} has schema {schema} (current {}): folding its journal would \
+                 silently discard its cells before gc could report them — remove the journal \
+                 ({}) by hand, then re-run gc",
                 path.display(),
                 store::SCHEMA_VERSION,
                 journal.display()
             ));
         }
-        let (resumed, replayed) = ResultStore::open_resumable(path).map_err(|e| e.to_string())?;
-        // The gc report below must describe the real store + journal
-        // union, not the stale checkpoint alone.
-        doc = resumed.to_json();
-        if options.dry_run {
-            if !options.quiet {
-                println!(
-                    "journal would be compacted into {} ({replayed} cells) — dry run, \
-                     nothing written",
-                    path.display()
-                );
-            }
-        } else {
-            resumed.checkpoint(path).map_err(|e| e.to_string())?;
-            if !options.quiet {
-                println!(
-                    "journal compacted into {} ({replayed} cells replayed)",
-                    path.display()
-                );
-            }
-        }
-    } else if options.compact_journal && !options.quiet {
-        println!("no journal sidecar to compact");
+        let opened = ResultStore::open_resumable(path, None).map_err(|e| e.to_string())?;
+        note_replayed(path, opened.replayed);
+        doc = opened.store.to_json();
     }
     let age_policy = match options.max_age_days {
         None => None,
@@ -780,7 +735,7 @@ fn gc(registry: &Registry, options: &Options) -> Result<u8, String> {
         print!("{}", report::gc_summary(&outcome, options.dry_run));
     }
     if !options.dry_run {
-        kept.save(path).map_err(|e| e.to_string())?;
+        kept.checkpoint(path).map_err(|e| e.to_string())?;
         if !options.quiet {
             println!("store rewritten: {}", path.display());
         }
@@ -839,7 +794,7 @@ fn convert(options: &Options) -> Result<u8, String> {
         Some(other) => return Err(format!("--to must be `bin` or `json`, not `{other}`")),
         None => return Err("convert needs --to bin|json".to_string()),
     };
-    if !path.exists() {
+    if !path.exists() && !store::journal_path(path).exists() {
         return Err(format!("no such store: {}", path.display()));
     }
     let out = options.out.as_deref().unwrap_or(path);
@@ -856,10 +811,11 @@ fn convert(options: &Options) -> Result<u8, String> {
             out,
         );
     }
-    let opened = ResultStore::open_any(path).map_err(|e| e.to_string())?;
+    let opened = ResultStore::open_resumable(path, None).map_err(|e| e.to_string())?;
+    note_replayed(path, opened.replayed);
     opened
         .store
-        .save_as(out, target)
+        .checkpoint_as(out, target, None)
         .map_err(|e| e.to_string())?;
     if !options.quiet {
         println!(
@@ -874,28 +830,24 @@ fn convert(options: &Options) -> Result<u8, String> {
     Ok(0)
 }
 
-/// Validates the persistence flags of a campaign command and opens what
-/// its session runs against: the `--trace` recorder (threaded through
-/// the executor and the journal/telemetry sidecars, streamed out as a
-/// Chrome trace-event file at the end; purely observational) and the
-/// store, with `--resume` replaying its journal. Returns the store, the
-/// journal cells replayed and the recorder.
-fn open_store(options: &Options) -> Result<(ResultStore, usize, Option<Obs>), String> {
-    let journaling = options.resume || options.checkpoint_every.is_some();
-    if journaling && options.store.is_none() {
-        return Err("--resume and --checkpoint-every need --store PATH".into());
-    }
-    // The threshold only means something against an active journal:
-    // accepting it alone would silently run without any journaling.
-    if options.compact_journal_over.is_some() && options.checkpoint_every.is_none() {
-        return Err(
-            "--compact-journal-over needs --checkpoint-every (it bounds the journal \
-             that flag appends to)"
-                .into(),
-        );
-    }
-    if options.telemetry && options.store.is_none() {
-        return Err("--telemetry needs --store PATH (the sidecar lives beside it)".into());
+/// Opens what a campaign command's session runs against: the `--trace`
+/// recorder (threaded through the executor and the journal/telemetry
+/// sidecars, streamed out as a Chrome trace-event file at the end;
+/// purely observational) and the store with its journal replayed, so a
+/// rerun of a killed campaign executes only the remaining cells. A
+/// store a live `campaign serve` holds is refused: the daemon journals
+/// into it, and this run's final checkpoint would delete that journal
+/// mid-submit.
+fn open_store(options: &Options) -> Result<(ResultStore, Option<Obs>), String> {
+    if options.store.is_none() {
+        if options.telemetry {
+            return Err("--telemetry needs --store PATH (the sidecar lives beside it)".into());
+        }
+        if options.compact_journal_over.is_some() {
+            return Err(
+                "--compact-journal-over needs --store PATH (it bounds the store's journal)".into(),
+            );
+        }
     }
     // The recorder opens first so store load / journal replay below
     // already appear in the trace.
@@ -903,22 +855,38 @@ fn open_store(options: &Options) -> Result<(ResultStore, usize, Option<Obs>), St
         Some(path) => Some(Obs::with_trace(path).map_err(|e| e.to_string())?),
         None => None,
     };
-    let (store, replayed) = match (&options.store, options.resume) {
-        (Some(path), true) => {
-            ResultStore::open_resumable_observed(path, obs.as_ref()).map_err(|e| e.to_string())?
+    let store = match &options.store {
+        Some(path) => {
+            report_stale_lock(
+                serve_lock::refuse_if_live(path, &options.command).map_err(|e| e.to_string())?,
+                path,
+            );
+            let opened =
+                ResultStore::open_resumable(path, obs.as_ref()).map_err(|e| e.to_string())?;
+            note_replayed(path, opened.replayed);
+            opened.store
         }
-        (Some(path), false) => (ResultStore::load(path).map_err(|e| e.to_string())?, 0),
-        (None, _) => (ResultStore::new(), 0),
+        None => ResultStore::new(),
     };
-    Ok((store, replayed, obs))
+    Ok((store, obs))
+}
+
+/// Says how many cells a killed run left in the journal beside `store`
+/// (printed even under `--quiet`, like a run's summary line).
+fn note_replayed(store: &Path, replayed: usize) {
+    if replayed > 0 {
+        println!(
+            "{replayed} journal cells replayed from {}",
+            store::journal_path(store).display()
+        );
+    }
 }
 
 /// Runs `runner` in a [`Session`] built from the persistence flags
-/// (journal with `--resume`/`--checkpoint-every`, sidecar with
-/// `--telemetry`, the `--progress` stderr line), then prints what was
-/// persisted and finishes the trace. The store is written before the
-/// runner's error is returned, so a failing cell keeps its completed
-/// siblings on disk.
+/// (journal and checkpoint with `--store`, sidecar with `--telemetry`,
+/// the `--progress` stderr line), then prints what was persisted and
+/// finishes the trace. The store is written before the runner's error
+/// is returned, so a failing cell keeps its completed siblings on disk.
 fn run_session<T>(
     options: &Options,
     store: &mut ResultStore,
@@ -934,16 +902,10 @@ fn run_session<T>(
         );
         let _ = err.flush();
     };
-    let journaling = options.resume || options.checkpoint_every.is_some();
     let session = Session {
         store: options.store.as_deref(),
-        journal_batch: journaling.then(|| options.checkpoint_every.unwrap_or(1)),
         compact_over: options.compact_journal_over,
-        telemetry_batch: options.telemetry.then(|| {
-            options
-                .checkpoint_every
-                .unwrap_or(telemetry::DEFAULT_TELEMETRY_BATCH)
-        }),
+        telemetry: options.telemetry,
         obs,
         on_cell: options
             .progress
@@ -966,14 +928,11 @@ fn run_session<T>(
         ),
         _ => {}
     }
-    if let (Some(path), true, false) = (&options.store, journaling, options.quiet) {
-        match persisted.compactions {
-            0 => println!("checkpoint written: {}", path.display()),
-            n => println!(
-                "checkpoint written: {} ({n} mid-run journal compactions)",
-                path.display()
-            ),
-        }
+    if let (Some(path), false, n @ 1..) = (&options.store, options.quiet, persisted.compactions) {
+        println!(
+            "checkpoint written: {} ({n} mid-run journal compactions)",
+            path.display()
+        );
     }
     finish_trace(obs, options.quiet);
     persisted.outcome.map_err(|e| e.to_string())
@@ -1003,7 +962,7 @@ fn run_or_report(registry: &Registry, options: &Options) -> Result<u8, String> {
         replicates: options.replicates.unwrap_or(1),
         keep_replicates: options.keep_replicates,
     };
-    let (mut store, replayed, obs) = open_store(options)?;
+    let (mut store, obs) = open_store(options)?;
     let campaign = run_session(options, &mut store, obs.as_ref(), |store, hooks| {
         run_campaign_with(
             registry,
@@ -1025,16 +984,11 @@ fn run_or_report(registry: &Registry, options: &Options) -> Result<u8, String> {
     }
     print_cells(&campaign, options.quiet);
     println!(
-        "{} cells: {} executed, {} memoized (seed {}){}",
+        "{} cells: {} executed, {} memoized (seed {})",
         campaign.cells.len(),
         campaign.executed,
         campaign.memoized,
         campaign.seed,
-        if options.resume {
-            format!(" — resumed, {replayed} journal cells replayed")
-        } else {
-            String::new()
-        }
     );
     Ok(0)
 }
@@ -1084,7 +1038,7 @@ fn shard(options: &Options) -> Result<u8, String> {
     // manifest, not from local flags: every worker must claim shards of
     // the exact campaign that was planned.
     let registry = dist::registry_for(&manifest);
-    let (mut store, _, obs) = open_store(options)?;
+    let (mut store, obs) = open_store(options)?;
     let (campaign, steal_stats) = if options.steal {
         let lease_dir = options
             .leases
@@ -1296,9 +1250,6 @@ fn serve_cmd(options: &Options) -> Result<u8, String> {
             addr: options.addr.clone().unwrap_or(defaults.addr),
             accept_pool: options.accept_pool.unwrap_or(defaults.accept_pool),
             exec_threads: options.threads,
-            checkpoint_every: options
-                .checkpoint_every
-                .unwrap_or(defaults.checkpoint_every),
             compact_journal_over: options.compact_journal_over,
             slowlog_over_us: options.slowlog_over_us.unwrap_or(defaults.slowlog_over_us),
             quiet: options.quiet,
@@ -1442,8 +1393,7 @@ fn trace_cmd(options: &Options) -> Result<u8, String> {
 }
 
 /// Writes the campaign-shaped artifacts (JSON/CSV). The store itself
-/// is persisted by the [`Session`] in [`run_session`] —
-/// checkpoint-compacted when journaling, atomically saved otherwise.
+/// is journaled and checkpointed by the [`Session`] in [`run_session`].
 fn write_artifacts(campaign: &Campaign, options: &Options) -> Result<(), String> {
     if let Some(path) = &options.json {
         std::fs::write(path, report::campaign_json(campaign))

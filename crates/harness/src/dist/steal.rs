@@ -142,8 +142,9 @@ pub(crate) fn shard_chunks(
 /// claiming a chunk, its unjournaled cells are simply lost from this
 /// attempt (merge's coverage check reports them loudly). Recovery is to
 /// remove the lease directory (or pass a fresh `--leases DIR`) and
-/// re-run the shards with `--resume`: every journaled cell replays from
-/// the store, so only the dead shard's unfinished work recomputes.
+/// re-run the shards with the same commands: every journaled cell
+/// replays into its store, so only the dead shard's unfinished work
+/// recomputes.
 #[derive(Debug, Clone)]
 pub struct LeaseDir {
     dir: PathBuf,
@@ -222,7 +223,7 @@ impl LeaseDir {
                     // instead of reporting a bogus digest mismatch.
                     Err(ScenarioError::Dist(format!(
                         "lease directory {} has an empty campaign stamp (crash while \
-                         stamping?) — remove the directory and re-run with --resume",
+                         stamping?) — remove the directory and re-run the shards",
                         dir.display()
                     )))
                 } else {
@@ -322,7 +323,7 @@ pub struct StealStats {
 /// `leases` must be a directory opened for *this* campaign (see
 /// [`LeaseDir::open`]); a chunk whose holder dies mid-execution stays
 /// leased and is surfaced by merge's coverage check — recover by
-/// clearing the lease directory and re-running with `--resume`.
+/// clearing the lease directory and re-running the shards.
 pub fn run_shard_stealing(
     registry: &Registry,
     manifest: &Manifest,

@@ -40,17 +40,17 @@
 //!   keyed by a fingerprint of `(schema, scenario, params, seed)` and
 //!   persist as deterministic JSON; re-running a campaign executes only
 //!   cells the store has never seen. An append-only [`store::Journal`]
-//!   beside the checkpoint file makes campaigns *crash-resumable*:
-//!   every completed cell is journaled (fsync'd per batch), a SIGKILL'd
-//!   campaign resumes from the last completed cell via
-//!   [`ResultStore::open_resumable`], and `checkpoint()` compacts the
-//!   pair atomically.
+//!   beside the checkpoint file makes every stored campaign
+//!   *crash-resumable*: every completed cell is journaled (fsync'd per
+//!   batch), the next open of a SIGKILL'd campaign's store replays it
+//!   via [`ResultStore::open_resumable`], and `checkpoint()` compacts
+//!   the pair atomically.
 //! * [`session`] — the persistence policy around one run: a
 //!   [`Session`] opens the journal and the telemetry sidecar, hands the
-//!   runner its hooks, and persists the store whatever the runner
-//!   returns (checkpoint when journaling, atomic save otherwise). CLI
-//!   `run`/`report`/`shard` and serve's `submit` all run through it, so
-//!   a failing cell never discards its completed siblings.
+//!   runner its hooks, and checkpoints the store whatever the runner
+//!   returns. CLI `run`/`report`/`shard` and serve's `submit` all run
+//!   through it, so a failing cell never discards its completed
+//!   siblings.
 //! * [`obs`] — the engine instrumentation layer: named
 //!   monotonic-clock spans and counters around the whole campaign
 //!   lifecycle (plan, decode, memo lookup, journal append/fsync,
@@ -87,8 +87,9 @@
 //!   streaming executor with crash-resume journaling and publish into
 //!   the live index atomically; graceful shutdown drains, checkpoints
 //!   and fsyncs, leaving a store byte-identical to the batch run's. A
-//!   `store.json.lock` pidfile ([`serve::lock`]) keeps `gc`/`merge`
-//!   from racing a live daemon, with dead-owner locks detected as
+//!   `store.json.lock` pidfile ([`serve::lock`]) keeps every command
+//!   that writes a store (`run`/`report`/`shard`, `gc`, `convert`,
+//!   `merge`) from racing a live daemon, with dead-owner locks detected as
 //!   stale and broken automatically.
 //! * [`gen`] — generated-program sweeps: a deterministic corpus of
 //!   `tinyisa::codegen` programs whose shape (`depth`, `stmts`,

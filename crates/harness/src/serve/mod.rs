@@ -113,9 +113,6 @@ pub struct ServeOptions {
     pub accept_pool: usize,
     /// Executor threads for submitted campaigns.
     pub exec_threads: usize,
-    /// Journal fsync batch for submitted campaigns (the batch `run`
-    /// `--checkpoint-every` knob).
-    pub checkpoint_every: usize,
     /// Fold the journal into the checkpoint whenever it exceeds this
     /// many lines mid-run (`--compact-journal-over`).
     pub compact_journal_over: Option<usize>,
@@ -132,7 +129,6 @@ impl Default for ServeOptions {
             addr: "127.0.0.1:0".to_string(),
             accept_pool: 8,
             exec_threads: 4,
-            checkpoint_every: 16,
             compact_journal_over: None,
             slowlog_over_us: 10_000,
             quiet: false,
@@ -385,7 +381,8 @@ impl Server {
         obs: Option<Obs>,
     ) -> Result<ServerHandle, ScenarioError> {
         let (store_lock, broke_stale_lock) = StoreLock::acquire(store_path, "serve")?;
-        let (opened, replayed) = ResultStore::open_resumable_full(store_path, obs.as_ref())?;
+        let opened = ResultStore::open_resumable(store_path, obs.as_ref())?;
+        let replayed = opened.replayed;
         // A binary columnar checkpoint ships its symbol table; the
         // index adopts it wholesale instead of re-interning.
         let index = Arc::new(StoreIndex::build_with_vocab(&opened.store, opened.symbols));
@@ -1373,9 +1370,8 @@ fn run_job(
     };
     let session = Session {
         store: Some(&inner.store_path),
-        journal_batch: Some(inner.options.checkpoint_every),
         compact_over: inner.options.compact_journal_over,
-        telemetry_batch: None,
+        telemetry: false,
         obs: inner.obs.as_ref(),
         on_cell: Some(&progress_sink),
         cancel: Some(&inner.cancel),

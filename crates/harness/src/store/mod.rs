@@ -15,7 +15,8 @@
 //! still running. [`ResultStore::open_resumable`] replays the journal
 //! over the checkpoint (tolerating the torn final line a SIGKILL
 //! leaves), and [`ResultStore::checkpoint`] compacts the pair — which
-//! is what makes campaigns crash-resumable with zero recompute.
+//! is what makes every stored campaign crash-resumable with zero
+//! recompute.
 //!
 //! The checkpoint itself exists in two formats: the human-readable
 //! deterministic JSON above, and the [`columnar`] binary layout (same
@@ -110,6 +111,9 @@ pub struct OpenedStore {
     /// it wholesale instead of re-interning. `None` for JSON files,
     /// missing files, and binary files of another schema.
     pub symbols: Option<Vec<String>>,
+    /// Journal cells [`ResultStore::open_resumable`] replayed over the
+    /// checkpoint (0 for [`ResultStore::open_any`]).
+    pub replayed: usize,
 }
 
 /// Bump when the fingerprint inputs or stored layout change; old
@@ -421,6 +425,7 @@ impl ResultStore {
                     store: ResultStore::new(),
                     format: sniff_format(path)?,
                     symbols: None,
+                    replayed: 0,
                 });
             }
             Err(e) => {
@@ -445,6 +450,7 @@ impl ResultStore {
                 },
                 format: StoreFormat::Binary,
                 symbols: current.then_some(decoded.symbols),
+                replayed: 0,
             })
         } else {
             let text = String::from_utf8(bytes).map_err(|e| {
@@ -460,21 +466,23 @@ impl ResultStore {
                 store: ResultStore::from_json(&doc)?,
                 format: StoreFormat::Json,
                 symbols: None,
+                replayed: 0,
             })
         }
     }
 
-    /// Loads a store, treating a *missing* file as an error — the right
-    /// semantics when the store is an input artifact (merge, diff)
-    /// rather than a memoization cache being created on first use.
+    /// Opens an input store (merge, diff) with its journal replayed,
+    /// treating a *missing* store — neither a checkpoint nor a journal —
+    /// as an error, unlike a memoization cache created on first use.
+    /// The journal is folded in memory only; the input is not written.
     pub fn load_required(path: &Path) -> Result<ResultStore, ScenarioError> {
-        if !path.exists() {
+        if !path.exists() && !journal_path(path).exists() {
             return Err(ScenarioError::Store(format!(
                 "no such store: {}",
                 path.display()
             )));
         }
-        ResultStore::load(path)
+        Ok(ResultStore::open_resumable(path, None)?.store)
     }
 
     /// Writes the store to disk (creating parent directories). The
@@ -522,56 +530,40 @@ impl ResultStore {
         write_atomic(path, &bytes)
     }
 
-    /// Loads a store *and replays its sidecar journal*: the
-    /// crash-resume entry point. Returns the store and the number of
-    /// journal cells replayed. Cells a SIGKILL'd campaign journaled but
-    /// never checkpointed come back as memoized hits, so the resumed
-    /// run executes only the remainder. Journal lines of another store
-    /// schema are skipped (those cells recompute, like [`Self::load`]
-    /// drops them); a torn *final* line — the telltale of a kill
-    /// mid-append — is ignored; a torn line anywhere earlier is real
-    /// corruption and errors.
-    pub fn open_resumable(path: &Path) -> Result<(ResultStore, usize), ScenarioError> {
-        ResultStore::open_resumable_observed(path, None)
-    }
-
-    /// [`Self::open_resumable`] with the load under a `store/load` span
-    /// and the journal replay under `journal/replay`, when a recorder
-    /// is given.
-    pub fn open_resumable_observed(
+    /// Opens a store *and replays its sidecar journal*: the one open of
+    /// every command that writes a store back (`run`/`report`, `shard`,
+    /// `gc`, `convert`, the serve daemon). [`OpenedStore::replayed`]
+    /// counts the journal cells replayed. Cells a SIGKILL'd campaign
+    /// journaled but never checkpointed come back as memoized hits, so
+    /// the rerun executes only the remainder. Journal lines of another
+    /// store schema are skipped (those cells recompute, like
+    /// [`Self::load`] drops them); a torn *final* line — the telltale of
+    /// a kill mid-append — is ignored; a torn line anywhere earlier is
+    /// real corruption and errors. With a recorder, the load runs under
+    /// a `store/load` span and the replay under `journal/replay`.
+    pub fn open_resumable(
         path: &Path,
         obs: Option<&crate::obs::Obs>,
-    ) -> Result<(ResultStore, usize), ScenarioError> {
-        let (opened, replayed) = ResultStore::open_resumable_full(path, obs)?;
-        Ok((opened.store, replayed))
-    }
-
-    /// [`Self::open_resumable_observed`] keeping the whole
-    /// [`OpenedStore`]: the serve daemon needs the detected format (to
-    /// checkpoint back in kind) and a binary file's symbol table (to
-    /// seed its index interner instead of re-interning every string).
-    pub fn open_resumable_full(
-        path: &Path,
-        obs: Option<&crate::obs::Obs>,
-    ) -> Result<(OpenedStore, usize), ScenarioError> {
+    ) -> Result<OpenedStore, ScenarioError> {
         let load_span = obs.map(|o| o.span("store/load", "store"));
         let mut opened = ResultStore::open_any(path)?;
-        let store = &mut opened.store;
         drop(load_span);
         let _replay_span = obs.map(|o| o.span("journal/replay", "store"));
         let journal = journal_path(path);
         if !journal.exists() {
-            return Ok((opened, 0));
+            return Ok(opened);
         }
-        let mut replayed = 0;
+        let OpenedStore {
+            store, replayed, ..
+        } = &mut opened;
         replay_sidecar_lines(&journal, &mut |doc| {
             if let Some((fp, cell)) = parse_journal_line(doc)? {
                 store.insert_cell(fp, cell);
-                replayed += 1;
+                *replayed += 1;
             }
             Ok(())
         })?;
-        Ok((opened, replayed))
+        Ok(opened)
     }
 
     /// Compacts the store + journal pair: writes the full store as the
@@ -590,8 +582,20 @@ impl ResultStore {
         path: &Path,
         obs: Option<&crate::obs::Obs>,
     ) -> Result<(), ScenarioError> {
+        self.checkpoint_as(path, sniff_format(path)?, obs)
+    }
+
+    /// [`Self::checkpoint_observed`] in an explicitly chosen format —
+    /// `campaign convert` writes its output through this, so a
+    /// converted store never keeps a journal of its former self.
+    pub fn checkpoint_as(
+        &self,
+        path: &Path,
+        format: StoreFormat,
+        obs: Option<&crate::obs::Obs>,
+    ) -> Result<(), ScenarioError> {
         let _span = obs.map(|o| o.span("checkpoint", "store"));
-        self.save_observed(path, obs)?;
+        self.save_as_observed(path, format, obs)?;
         let journal = journal_path(path);
         if journal.exists() {
             std::fs::remove_file(&journal)
@@ -812,11 +816,13 @@ impl AppendLog {
 }
 
 /// The append-only write-ahead journal beside a checkpoint file: one
-/// completed cell per JSON line, flushed on every append and fsync'd
-/// every `batch` cells. The journal is what makes a campaign
-/// crash-resumable — a SIGKILL loses at most the cells of the current
-/// unsynced batch, and [`ResultStore::open_resumable`] replays the
-/// rest with zero recompute. I/O failures are sticky: the first error
+/// completed cell per JSON line, written unbuffered on every append and
+/// fsync'd every `batch` cells. The journal is what makes a campaign
+/// crash-resumable — a SIGKILL loses at most a torn final line (every
+/// complete line is already in the OS page cache; only a power loss or
+/// an OS crash can lose the current unsynced batch), and
+/// [`ResultStore::open_resumable`] replays the rest with zero
+/// recompute. I/O failures are sticky: the first error
 /// is remembered and surfaced by [`Journal::finish`], so a worker
 /// thread appending mid-campaign never has to unwind through the
 /// executor.
@@ -1618,7 +1624,11 @@ mod tests {
         journal.finish().unwrap();
 
         // Resumable open replays the journal cell.
-        let (resumed, replayed) = ResultStore::open_resumable(&path).unwrap();
+        let OpenedStore {
+            store: resumed,
+            replayed,
+            ..
+        } = ResultStore::open_resumable(&path, None).unwrap();
         assert_eq!(replayed, 1);
         assert_eq!(resumed.len(), 3);
         assert_eq!(resumed.get_by_fingerprint(&fp), Some(&cell));
@@ -1630,8 +1640,8 @@ mod tests {
         resumed.checkpoint(&path).unwrap();
         assert!(!journal_path(&path).exists());
         assert_eq!(ResultStore::load(&path).unwrap().len(), 3);
-        let (again, replayed) = ResultStore::open_resumable(&path).unwrap();
-        assert_eq!((again.len(), replayed), (3, 0));
+        let again = ResultStore::open_resumable(&path, None).unwrap();
+        assert_eq!((again.store.len(), again.replayed), (3, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1658,8 +1668,12 @@ mod tests {
         let mut text = std::fs::read_to_string(&jpath).unwrap();
         text.push_str("{\"schema\":2,\"fp\":\"dead");
         std::fs::write(&jpath, &text).unwrap();
-        let (store, replayed) = ResultStore::open_resumable(&path).unwrap();
-        assert_eq!((store.len(), replayed), (1, 1), "torn tail ignored");
+        let opened = ResultStore::open_resumable(&path, None).unwrap();
+        assert_eq!(
+            (opened.store.len(), opened.replayed),
+            (1, 1),
+            "torn tail ignored"
+        );
 
         // Re-opening the journal for append must *heal* the torn tail
         // (truncate to the last complete record): the first fresh
@@ -1674,9 +1688,13 @@ mod tests {
         };
         resumed.append(&fp2, &cell2);
         resumed.finish().unwrap();
-        let (store, replayed) = ResultStore::open_resumable(&path).unwrap();
-        assert_eq!((store.len(), replayed), (2, 2), "healed + appended");
-        assert_eq!(store.get_by_fingerprint(&fp2), Some(&cell2));
+        let opened = ResultStore::open_resumable(&path, None).unwrap();
+        assert_eq!(
+            (opened.store.len(), opened.replayed),
+            (2, 2),
+            "healed + appended"
+        );
+        assert_eq!(opened.store.get_by_fingerprint(&fp2), Some(&cell2));
         let healed = std::fs::read_to_string(&jpath).unwrap();
         assert!(!healed.contains("dead"), "torn bytes must be gone");
 
@@ -1686,14 +1704,14 @@ mod tests {
         torn_middle.push('\n');
         std::fs::write(&jpath, &torn_middle).unwrap();
         assert!(matches!(
-            ResultStore::open_resumable(&path),
+            ResultStore::open_resumable(&path, None),
             Err(ScenarioError::Store(_))
         ));
 
         // Journal lines of another schema are skipped, not replayed.
         std::fs::write(&jpath, "{\"schema\":1,\"fp\":\"aaaa\",\"cell\":{}}\n").unwrap();
-        let (store, replayed) = ResultStore::open_resumable(&path).unwrap();
-        assert_eq!((store.len(), replayed), (0, 0));
+        let opened = ResultStore::open_resumable(&path, None).unwrap();
+        assert_eq!((opened.store.len(), opened.replayed), (0, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1737,7 +1755,7 @@ mod tests {
 
         // The resumable union holds every cell: checkpoint + journal
         // is lossless across compaction boundaries.
-        let (resumed, _) = ResultStore::open_resumable(&path).unwrap();
+        let resumed = ResultStore::open_resumable(&path, None).unwrap().store;
         assert_eq!(resumed.len(), 6);
         for seed in 0..=5 {
             let (fp, c) = cell(seed);

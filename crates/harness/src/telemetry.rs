@@ -47,10 +47,6 @@ use std::time::Duration;
 /// simply forgotten, never misread).
 pub const TELEMETRY_SCHEMA: u32 = 1;
 
-/// Default fsync batch for the telemetry log when the campaign did not
-/// choose a journal batch (`--checkpoint-every`) to inherit.
-pub const DEFAULT_TELEMETRY_BATCH: usize = 64;
-
 /// The telemetry sidecar of a store: `store.json` →
 /// `store.json.telemetry`.
 pub fn telemetry_path(store: &Path) -> PathBuf {

@@ -3,8 +3,9 @@
 //! The invariants pinned here:
 //!
 //! * **Determinism** — a campaign run with `--trace` writes a
-//!   `store.json` byte-identical to a run without it, journaling or
-//!   not (spans and counters are purely observational).
+//!   `store.json` byte-identical to a run without it, compacting its
+//!   journal mid-run or not (spans and counters are purely
+//!   observational).
 //! * **Trace validity** — every event in a `--trace` file is an
 //!   X-phase complete event with a duration, the expected lifecycle
 //!   spans are present, and `campaign trace` accepts the file.
@@ -95,18 +96,18 @@ fn traced_store_is_byte_identical_to_untraced() {
 
 #[test]
 fn traced_checkpointed_store_is_byte_identical_too() {
-    // The journaled path exercises journal append/fsync and checkpoint
-    // spans — the store must still come out identical.
+    // Mid-run compaction adds checkpoints under `journal/compact`
+    // spans — the store must still come out identical to a plain run.
     let dir = TempDir::new("identity-journal");
     let plain = dir.path("plain.json");
     let traced = dir.path("traced.json");
     let trace = dir.path("t.json");
-    run_reference(&plain, &["--checkpoint-every", "1"]);
+    run_reference(&plain, &[]);
     run_reference(
         &traced,
         &[
-            "--checkpoint-every",
-            "1",
+            "--compact-journal-over",
+            "2",
             "--trace",
             trace.to_str().unwrap(),
         ],
@@ -114,6 +115,12 @@ fn traced_checkpointed_store_is_byte_identical_too() {
     let a = std::fs::read(&plain).unwrap();
     let b = std::fs::read(&traced).unwrap();
     assert_eq!(a, b, "tracing must never change checkpoint bytes");
+    let stats = load_trace(&trace).expect("the written trace must validate");
+    assert!(
+        stats.spans.contains_key("journal/compact"),
+        "mid-run compactions must be traced: {:?}",
+        stats.spans.keys().collect::<Vec<_>>()
+    );
 }
 
 #[test]
@@ -121,15 +128,7 @@ fn trace_covers_the_campaign_lifecycle() {
     let dir = TempDir::new("lifecycle");
     let store = dir.path("store.json");
     let trace = dir.path("t.json");
-    run_reference(
-        &store,
-        &[
-            "--checkpoint-every",
-            "1",
-            "--trace",
-            trace.to_str().unwrap(),
-        ],
-    );
+    run_reference(&store, &["--trace", trace.to_str().unwrap()]);
     let stats = load_trace(&trace).expect("the written trace must validate");
     assert!(!stats.torn_tail, "a clean run leaves no torn tail");
     assert!(stats.events > 0);

@@ -1,9 +1,9 @@
-//! Crash-resume contract of the checkpointed campaign engine, exercised
-//! through the `campaign` binary as a real OS process: a `campaign run
-//! --checkpoint-every 1` child is SIGKILLed mid-campaign, resumed with
-//! `--resume`, and the resumed store must be byte-identical to an
-//! uninterrupted run's — with the interrupted work replayed from the
-//! journal, not recomputed.
+//! Crash-resume contract of a stored campaign, exercised through the
+//! `campaign` binary as a real OS process: a plain `campaign run
+//! --store S` child is SIGKILLed mid-campaign and the identical command
+//! is run again. The rerun must replay the interrupted work from the
+//! journal instead of recomputing it, and leave a store byte-identical
+//! to an uninterrupted run's.
 
 use harness::store::{journal_path, ResultStore};
 use std::path::PathBuf;
@@ -59,10 +59,9 @@ fn sigkilled_campaign_resumes_from_the_journal_byte_identically() {
     let store_arg = store.to_str().unwrap();
     let journal = journal_path(&store);
 
-    // Launch the campaign with one slow worker thread (150 ms per cell
-    // via the executor's test hook) and per-cell journal fsync, so the
-    // journal grows cell by cell while we watch.
-    let mut child = campaign_cmd(&[
+    // One command, with no persistence flags, for the killed run and
+    // the rerun alike.
+    let args = [
         "run",
         "--scenario",
         SELECT[0],
@@ -73,15 +72,16 @@ fn sigkilled_campaign_resumes_from_the_journal_byte_identically() {
         "--quiet",
         "--threads",
         "1",
-        "--checkpoint-every",
-        "1",
         "--store",
         store_arg,
-    ])
-    .env("CAMPAIGN_CELL_DELAY_MS", "150")
-    .stdout(std::process::Stdio::null())
-    .spawn()
-    .expect("campaign child must spawn");
+    ];
+    // One slow worker thread (150 ms per cell via the executor's test
+    // hook), so the journal grows cell by cell while we watch.
+    let mut child = campaign_cmd(&args)
+        .env("CAMPAIGN_CELL_DELAY_MS", "150")
+        .stdout(std::process::Stdio::null())
+        .spawn()
+        .expect("campaign child must spawn");
 
     // Wait until at least two cells hit the journal, then SIGKILL.
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -111,33 +111,43 @@ fn sigkilled_campaign_resumes_from_the_journal_byte_identically() {
     // the journal holds the completed prefix (a torn tail is fine —
     // replay ignores it).
     assert!(!store.exists(), "no checkpoint must exist before resume");
-    let (partial, replayed) = ResultStore::open_resumable(&store).unwrap();
-    assert_eq!(partial.len(), replayed, "journal is the only state");
+    let partial = ResultStore::open_resumable(&store, None).unwrap();
+    let replayed = partial.replayed;
+    assert_eq!(partial.store.len(), replayed, "journal is the only state");
     assert!(
         (2..TOTAL_CELLS).contains(&replayed),
         "the kill must land mid-campaign (replayed {replayed})"
     );
 
-    // Resume: only the remaining cells may execute; the journaled ones
-    // come back memoized.
-    let stdout = run_ok(&[
-        "run",
-        "--scenario",
-        SELECT[0],
-        "--scenario",
-        SELECT[1],
-        "--seed",
-        "42",
-        "--quiet",
-        "--resume",
-        "--checkpoint-every",
-        "1",
+    // `convert` folds the journal into its output, so the journaled
+    // cells survive a format change; the source is left as it was.
+    let converted = dir.path("partial.bin");
+    run_ok(&[
+        "convert",
         "--store",
         store_arg,
+        "--to",
+        "bin",
+        "--out",
+        converted.to_str().unwrap(),
     ]);
+    assert_eq!(ResultStore::load(&converted).unwrap().len(), replayed);
+    // `merge` reads an input store the same way, writing only --out.
+    let merged = dir.path("partial-merged.json");
+    run_ok(&["merge", "--out", merged.to_str().unwrap(), store_arg]);
+    assert_eq!(ResultStore::load(&merged).unwrap().len(), replayed);
+    assert!(
+        !store.exists() && journal.exists(),
+        "convert and merge left the source alone"
+    );
+
+    // The same command again: only the remaining cells may execute;
+    // the journaled ones come back memoized.
+    let stdout = run_ok(&args);
+    let note = format!("{replayed} journal cells replayed");
+    assert!(stdout.contains(&note), "want: {note}\ngot: {stdout}");
     let summary = format!(
-        "{TOTAL_CELLS} cells: {} executed, {replayed} memoized (seed 42) — resumed, \
-         {replayed} journal cells replayed",
+        "{TOTAL_CELLS} cells: {} executed, {replayed} memoized (seed 42)",
         TOTAL_CELLS - replayed
     );
     assert!(
@@ -164,8 +174,8 @@ fn sigkilled_campaign_resumes_from_the_journal_byte_identically() {
         reference.to_str().unwrap(),
     ]);
     assert_eq!(
-        std::fs::read_to_string(&store).unwrap(),
-        std::fs::read_to_string(&reference).unwrap(),
+        std::fs::read(&store).unwrap(),
+        std::fs::read(&reference).unwrap(),
         "resumed store must be byte-identical to an uninterrupted run's"
     );
 }
@@ -181,29 +191,33 @@ fn resume_without_prior_state_runs_the_full_campaign() {
         "--seed",
         "7",
         "--quiet",
-        "--resume",
         "--store",
         store.to_str().unwrap(),
     ]);
     assert!(
-        stdout.contains("4 cells: 4 executed, 0 memoized (seed 7) — resumed, 0 journal cells"),
+        stdout.contains("4 cells: 4 executed, 0 memoized (seed 7)"),
         "got: {stdout}"
     );
+    assert!(!stdout.contains("replayed"), "nothing to replay: {stdout}");
     assert!(store.exists());
     assert!(!journal_path(&store).exists());
 }
 
 #[test]
-fn resume_and_checkpoint_require_a_store() {
+fn retired_persistence_flags_are_unknown() {
     for args in [
         &["run", "--resume"] as &[&str],
         &["run", "--checkpoint-every", "4"],
+        &["shard", "--resume"],
+        &["serve", "--checkpoint-every", "4"],
+        &["gc", "--compact-journal"],
     ] {
         let out = campaign_cmd(args).output().expect("campaign must spawn");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            String::from_utf8_lossy(&out.stderr).contains("need --store"),
-            "{args:?}"
+            stderr.contains(&format!("unknown flag `{}`", args[1])),
+            "{args:?}: {stderr}"
         );
     }
 }

@@ -10,9 +10,10 @@
 //! * **Byte identity** — the store a daemon checkpoints after serving
 //!   a submitted campaign is byte-identical to the store a batch
 //!   `campaign run` of the same campaign writes.
-//! * **The lock protocol** — a live daemon's store is refused by `gc`
-//!   and `merge` (exit 2, remediation named); a dead daemon's stale
-//!   lock is reported and broken, never a permanent wedge.
+//! * **The lock protocol** — a live daemon's store is refused by `gc`,
+//!   `merge` and stored `run`/`report`/`shard` campaigns (exit 2,
+//!   remediation named, store untouched); a dead daemon's stale lock is
+//!   reported and broken, never a permanent wedge.
 //! * **Mid-run compaction** — `--compact-journal-over` bounds the
 //!   journal without changing the final store bytes.
 
@@ -218,7 +219,7 @@ fn batch_reference(store: &std::path::Path, extra: &[&str]) {
 fn endpoints_roundtrip_and_submitted_store_matches_batch_bytes() {
     let dir = TempDir::new("endpoints");
     let served = dir.path("served.json");
-    let daemon = Daemon::spawn(&dir, &served, &["--checkpoint-every", "1"]);
+    let daemon = Daemon::spawn(&dir, &served, &[]);
     let mut client = daemon.connect();
 
     let pong = client.request("{\"op\":\"ping\"}");
@@ -279,7 +280,7 @@ fn endpoints_roundtrip_and_submitted_store_matches_batch_bytes() {
     // The daemon's final store is byte-identical to the batch run's —
     // same executor, same journal, same checkpoint writer.
     let batch = dir.path("batch.json");
-    batch_reference(&batch, &["--checkpoint-every", "1"]);
+    batch_reference(&batch, &[]);
     assert_eq!(
         std::fs::read(&served).unwrap(),
         std::fs::read(&batch).unwrap(),
@@ -382,6 +383,80 @@ fn gc_and_merge_refuse_a_live_daemons_store() {
 }
 
 #[test]
+fn stored_runs_refuse_a_live_daemons_store() {
+    let dir = TempDir::new("refuse-run");
+    let store = dir.path("store.json");
+    batch_reference(&store, &[]);
+    let manifest = dir.path("manifest.json");
+    run_ok(&[
+        "plan",
+        "--scenario",
+        SELECT[0],
+        "--seed",
+        "42",
+        "--shards",
+        "1",
+        "--manifest",
+        manifest.to_str().unwrap(),
+    ]);
+    let daemon = Daemon::spawn(&dir, &store, &[]);
+    let before = std::fs::read(&store).unwrap();
+
+    // Every stored campaign journals into and checkpoints its store: on
+    // a live daemon's store its final checkpoint would delete the
+    // daemon's journal mid-submit, so it must not start at all.
+    let path = store.to_str().unwrap();
+    let shard_args = [
+        "shard",
+        "--manifest",
+        manifest.to_str().unwrap(),
+        "--index",
+        "0",
+        "--store",
+        path,
+    ];
+    for args in [
+        &[
+            "run",
+            "--scenario",
+            SELECT[0],
+            "--seed",
+            "7",
+            "--store",
+            path,
+        ] as &[&str],
+        &[
+            "report",
+            "--scenario",
+            SELECT[0],
+            "--seed",
+            "7",
+            "--store",
+            path,
+        ],
+        &shard_args,
+    ] {
+        let out = campaign(args);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?} must refuse a live store"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("live"), "{args:?}: {stderr}");
+        assert!(stderr.contains("shutdown"), "{args:?}: {stderr}");
+        assert_eq!(
+            std::fs::read(&store).unwrap(),
+            before,
+            "{args:?} touched the store"
+        );
+        assert!(!dir.path("store.json.journal").exists(), "{args:?}");
+    }
+    daemon.shutdown();
+    assert_eq!(std::fs::read(&store).unwrap(), before);
+}
+
+#[test]
 fn stale_locks_are_reported_and_broken_never_a_wedge() {
     let dir = TempDir::new("stale");
     let store = dir.path("store.json");
@@ -424,7 +499,7 @@ fn mid_run_compaction_bounds_the_journal_without_changing_bytes() {
     let dir = TempDir::new("compact");
     let plain = dir.path("plain.json");
     let compacted = dir.path("compacted.json");
-    batch_reference(&plain, &["--checkpoint-every", "1"]);
+    batch_reference(&plain, &[]);
     let stdout_text = {
         let mut args = vec![
             "run",
@@ -436,8 +511,6 @@ fn mid_run_compaction_bounds_the_journal_without_changing_bytes() {
             "42",
             "--store",
             compacted.to_str().unwrap(),
-            "--checkpoint-every",
-            "1",
             "--compact-journal-over",
             "2",
         ];
@@ -456,19 +529,17 @@ fn mid_run_compaction_bounds_the_journal_without_changing_bytes() {
     );
     assert!(!dir.path("compacted.json.journal").exists());
 
-    // The flag alone (without --checkpoint-every) is rejected.
+    // The flag without a store (no journal to bound) is rejected.
     let alone = campaign(&[
         "run",
         "--scenario",
         SELECT[0],
-        "--store",
-        dir.path("x.json").to_str().unwrap(),
         "--compact-journal-over",
         "2",
     ]);
     assert_eq!(alone.status.code(), Some(2));
     assert!(
-        String::from_utf8_lossy(&alone.stderr).contains("--checkpoint-every"),
+        String::from_utf8_lossy(&alone.stderr).contains("needs --store"),
         "{}",
         String::from_utf8_lossy(&alone.stderr)
     );
@@ -594,11 +665,7 @@ fn top_once_renders_requests_and_job_progress() {
 fn serve_compaction_keeps_submitted_store_byte_identical() {
     let dir = TempDir::new("serve-compact");
     let served = dir.path("served.json");
-    let daemon = Daemon::spawn(
-        &dir,
-        &served,
-        &["--checkpoint-every", "1", "--compact-journal-over", "2"],
-    );
+    let daemon = Daemon::spawn(&dir, &served, &["--compact-journal-over", "2"]);
     let mut client = daemon.connect();
     let submit = client.request(&format!(
         "{{\"op\":\"submit\",\"scenarios\":[\"{}\",\"{}\"],\"seed\":42}}",

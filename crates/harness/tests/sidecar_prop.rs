@@ -36,8 +36,7 @@ fn sidecars() -> &'static Sidecars {
         let path = dir.join("store.json");
         let session = Session {
             store: Some(&path),
-            journal_batch: Some(8),
-            telemetry_batch: Some(8),
+            telemetry: true,
             ..Session::default()
         };
         let mut journal = Vec::new();
@@ -92,8 +91,8 @@ fn resume(dir: &std::path::Path, journal: &[u8]) -> Result<usize, String> {
     let store = dir.join("store.json");
     let path = journal_path(&store);
     std::fs::write(&path, journal).unwrap();
-    match ResultStore::open_resumable(&store) {
-        Ok((_, replayed)) => Ok(replayed),
+    match ResultStore::open_resumable(&store, None) {
+        Ok(opened) => Ok(opened.replayed),
         Err(e) if e.to_string().contains(&path.display().to_string()) => Err(e.to_string()),
         Err(e) => panic!("journal error does not name the journal: {e}"),
     }

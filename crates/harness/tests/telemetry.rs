@@ -10,8 +10,8 @@
 //!   without a sidecar, or one timing none of the selection, it exits 2
 //!   naming the sidecar path.
 //! * **Lifecycle** — `gc --max-age-days` evicts from the sidecar's
-//!   access log (no entry = oldest), and gc refuses a store with a
-//!   journal sidecar unless `--compact-journal` folds the pair first.
+//!   access log (no entry = oldest), and gc folds a journal sidecar
+//!   into the store before collecting (a dry run writes nothing).
 //! * **Reporting** — `merge --report` names every planned chunk exactly
 //!   once with its winning shard, and joins each input's sidecar into
 //!   the realized wall-clock balance.
@@ -302,13 +302,12 @@ fn gc_max_age_days_evicts_from_the_access_log() {
 }
 
 #[test]
-fn gc_refuses_a_journaled_store_unless_compacted() {
+fn gc_folds_the_journal_before_collecting() {
     let dir = TempDir::new("journaled");
     let store_path = dir.path("store.json");
     run_reference(&store_path, false);
-    // Fabricate the dangerous state: one cell lives only in the
-    // journal (exactly what a SIGKILL'd --checkpoint-every campaign
-    // leaves behind).
+    // Fabricate what a SIGKILL'd stored run leaves behind: one cell
+    // lives only in the journal.
     let mut store = ResultStore::load(&store_path).unwrap();
     let cells = store.len();
     let (victim_fp, victim) = {
@@ -320,53 +319,46 @@ fn gc_refuses_a_journaled_store_unless_compacted() {
     let mut journal = Journal::open(&store_path, 1).unwrap();
     journal.append(&victim_fp, &victim);
     journal.finish().unwrap();
+    let journal_bytes = std::fs::read(journal_path(&store_path)).unwrap();
 
-    // gc must refuse: evicting from the store alone would be undone by
-    // the next --resume replaying the journal.
-    let refused = campaign(&["gc", "--store", store_path.to_str().unwrap()], None);
-    assert_eq!(refused.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&refused.stderr);
-    assert!(
-        stderr.contains("journal sidecar") && stderr.contains("--compact-journal"),
-        "got: {stderr}"
-    );
-
-    // --compact-journal --dry-run reports over the store + journal
-    // union but writes nothing: store bytes and journal both survive.
-    let store_bytes = std::fs::read_to_string(&store_path).unwrap();
-    let stdout = run_ok(&[
-        "gc",
-        "--store",
-        store_path.to_str().unwrap(),
-        "--compact-journal",
-        "--dry-run",
-    ]);
-    assert!(stdout.contains("dry run, nothing written"), "got: {stdout}");
+    // A dry run reports over the store + journal union but writes
+    // nothing: store bytes and journal both survive.
+    let store_bytes = std::fs::read(&store_path).unwrap();
+    let stdout = run_ok(&["gc", "--store", store_path.to_str().unwrap(), "--dry-run"]);
+    assert!(stdout.contains("1 journal cells replayed"), "got: {stdout}");
     assert!(
         stdout.contains(&format!("gc (dry run): {cells} kept")),
         "the dry-run report must cover the journal cell too: {stdout}"
     );
-    assert!(
-        journal_path(&store_path).exists(),
-        "dry run must not compact"
+    assert_eq!(
+        std::fs::read(journal_path(&store_path)).unwrap(),
+        journal_bytes,
+        "a dry run must not fold the journal"
     );
-    assert_eq!(std::fs::read_to_string(&store_path).unwrap(), store_bytes);
+    assert_eq!(std::fs::read(&store_path).unwrap(), store_bytes);
 
-    // --compact-journal folds the pair, then gc proceeds over the real
-    // union: the journaled cell survives in the rewritten store.
-    let stdout = run_ok(&[
-        "gc",
-        "--store",
-        store_path.to_str().unwrap(),
-        "--compact-journal",
-    ]);
-    assert!(stdout.contains("journal compacted"), "got: {stdout}");
+    // A real run folds the pair and collects over the union: the
+    // journaled cell survives in the rewritten store, and the journal
+    // is gone, so no later open can replay an evicted cell back.
+    let stdout = run_ok(&["gc", "--store", store_path.to_str().unwrap()]);
+    assert!(stdout.contains("1 journal cells replayed"), "got: {stdout}");
     assert!(!journal_path(&store_path).exists());
     let after = ResultStore::load(&store_path).unwrap();
     assert_eq!(after.len(), cells);
     assert_eq!(after.get_by_fingerprint(&victim_fp), Some(&victim));
 
-    // An old-schema checkpoint with a journal must refuse compaction:
+    // A run killed before its first checkpoint leaves only a journal;
+    // gc folds it into a fresh checkpoint.
+    let journal_only = dir.path("journal-only.json");
+    let mut journal = Journal::open(&journal_only, 1).unwrap();
+    journal.append(&victim_fp, &victim);
+    journal.finish().unwrap();
+    run_ok(&["gc", "--store", journal_only.to_str().unwrap(), "--quiet"]);
+    assert!(!journal_path(&journal_only).exists());
+    let folded = ResultStore::load(&journal_only).unwrap();
+    assert_eq!(folded.get_by_fingerprint(&victim_fp), Some(&victim));
+
+    // An old-schema checkpoint with a journal must refuse the fold:
     // open_resumable would load it empty, and checkpointing that would
     // destroy the cells before gc could report them as schema drops.
     let old = dir.path("old.json");
@@ -378,10 +370,7 @@ fn gc_refuses_a_journaled_store_unless_compacted() {
     )
     .unwrap();
     std::fs::write(journal_path(&old), "").unwrap();
-    let out = campaign(
-        &["gc", "--store", old.to_str().unwrap(), "--compact-journal"],
-        None,
-    );
+    let out = campaign(&["gc", "--store", old.to_str().unwrap()], None);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
