@@ -54,9 +54,9 @@ use harness::obs::{trace as obs_trace, Obs};
 use harness::registry::Registry;
 use harness::report;
 use harness::scenario::ScenarioError;
-use harness::serve::{lock as serve_lock, top as serve_top, ServeOptions, Server};
+use harness::serve::{top as serve_top, ServeOptions, Server};
 use harness::session::Session;
-use harness::store::{self, ResultStore};
+use harness::store::{self, LockInfo, OpenedStore, ResultStore};
 use harness::telemetry::{self, Telemetry};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -174,8 +174,10 @@ crash-resumable execution (run/report/shard with --store):
   by folding the journal into the store. A run killed mid-campaign
   loses at most a torn final line (a power loss or OS crash at most the
   unsynced batch): run the same command again and it prints `N journal
-  cells replayed` and executes only the remaining cells. A store a
-  live `campaign serve` holds is refused
+  cells replayed` and executes only the remaining cells. A store has
+  one writer at a time (<store>.lock): a second writer, or a reader
+  (diff, merge inputs, convert's input, gc --dry-run), exits 2 naming
+  the holder; a dead holder's lock is noted and broken
   --progress         live progress heartbeats on stderr
   --compact-journal-over N  (needs --store) fold the journal into the
                      checkpoint mid-run whenever it exceeds N lines, so
@@ -305,10 +307,8 @@ always-on campaign serving:
          default 10000) and shutdown (drain, checkpoint, fsync,
          release the lock). Default --addr 127.0.0.1:0 binds an
          ephemeral port; --port-file writes the bound address for
-         scripts. A live daemon holds <store>.lock: run, report,
-         shard, gc, convert and merge refuse its store until shutdown,
-         while a dead daemon's lock is detected as stale and broken
-         automatically
+         scripts. The daemon is its store's writer: it holds
+         <store>.lock until shutdown
   top    (--addr HOST:PORT | --port-file PATH) [--interval-ms N]
          [--once]
          live terminal view of a running daemon: polls stats, metrics
@@ -668,22 +668,20 @@ fn gen(options: &Options) -> Result<u8, String> {
 
 fn gc(registry: &Registry, options: &Options) -> Result<u8, String> {
     let path = options.store.as_deref().ok_or("gc needs --store PATH")?;
-    let journal = store::journal_path(path);
-    if !path.exists() && !journal.exists() {
-        return Err(format!("no such store: {}", path.display()));
+    // A dry run only reads; a real gc rewrites the store as its writer.
+    let opened = if options.dry_run {
+        ResultStore::load_required(path)
+    } else {
+        store::require(path).and_then(|()| ResultStore::open_resumable(path, "gc", None))
     }
-    // A live `campaign serve` checkpoints this store on its own
-    // schedule: rewriting it underneath the daemon would race. A dead
-    // daemon's lock is stale — report it and proceed.
-    report_stale_lock(
-        serve_lock::refuse_if_live(path, "gc").map_err(|e| e.to_string())?,
-        path,
-    );
+    .map_err(|e| e.to_string())?;
+    note_open(path, opened.replayed, opened.stale_lock.as_ref());
     // A journal sidecar holds cells the store file does not, and the
     // next open replays every one of them — evicted ones included —
     // straight back. So gc folds the pair first and rewrites it as a
     // checkpoint, which removes the journal.
     // A run killed before its first checkpoint leaves only a journal.
+    let journal = store::journal_path(path);
     let mut doc = if path.exists() {
         load_store_doc(path)?
     } else {
@@ -704,8 +702,6 @@ fn gc(registry: &Registry, options: &Options) -> Result<u8, String> {
                 journal.display()
             ));
         }
-        let opened = ResultStore::open_resumable(path, None).map_err(|e| e.to_string())?;
-        note_replayed(path, opened.replayed);
         doc = opened.store.to_json();
     }
     let age_policy = match options.max_age_days {
@@ -794,25 +790,22 @@ fn convert(options: &Options) -> Result<u8, String> {
         Some(other) => return Err(format!("--to must be `bin` or `json`, not `{other}`")),
         None => return Err("convert needs --to bin|json".to_string()),
     };
-    if !path.exists() && !store::journal_path(path).exists() {
-        return Err(format!("no such store: {}", path.display()));
-    }
+    store::require(path).map_err(|e| e.to_string())?;
     let out = options.out.as_deref().unwrap_or(path);
-    // Rewriting a store a live daemon owns would race its checkpoints;
-    // same rule as gc/merge. A dead daemon's lock is stale — report it
-    // and proceed.
-    report_stale_lock(
-        serve_lock::refuse_if_live(path, "convert").map_err(|e| e.to_string())?,
-        path,
-    );
-    if out != path {
-        report_stale_lock(
-            serve_lock::refuse_if_live(out, "convert").map_err(|e| e.to_string())?,
-            out,
-        );
-    }
-    let opened = ResultStore::open_resumable(path, None).map_err(|e| e.to_string())?;
-    note_replayed(path, opened.replayed);
+    // The output is opened as the writer, its lock held until the
+    // checkpoint; an in-place convert reads its input through that open.
+    let writer = ResultStore::open_resumable(out, "convert", None).map_err(|e| e.to_string())?;
+    let opened = if same_store(path, out) {
+        writer
+    } else {
+        note_open(out, 0, writer.stale_lock.as_ref());
+        let input = ResultStore::load_required(path).map_err(|e| e.to_string())?;
+        OpenedStore {
+            lock: writer.lock,
+            ..input
+        }
+    };
+    note_open(path, opened.replayed, opened.stale_lock.as_ref());
     opened
         .store
         .checkpoint_as(out, target, None)
@@ -833,12 +826,11 @@ fn convert(options: &Options) -> Result<u8, String> {
 /// Opens what a campaign command's session runs against: the `--trace`
 /// recorder (threaded through the executor and the journal/telemetry
 /// sidecars, streamed out as a Chrome trace-event file at the end;
-/// purely observational) and the store with its journal replayed, so a
-/// rerun of a killed campaign executes only the remaining cells. A
-/// store a live `campaign serve` holds is refused: the daemon journals
-/// into it, and this run's final checkpoint would delete that journal
-/// mid-submit.
-fn open_store(options: &Options) -> Result<(ResultStore, Option<Obs>), String> {
+/// purely observational) and the store through the writer open: keep
+/// it until the session's final checkpoint, since it holds the store's
+/// lock. The journal is replayed, so a rerun of a killed campaign
+/// executes only the remaining cells.
+fn open_store(options: &Options) -> Result<(OpenedStore, Option<Obs>), String> {
     if options.store.is_none() {
         if options.telemetry {
             return Err("--telemetry needs --store PATH (the sidecar lives beside it)".into());
@@ -855,31 +847,41 @@ fn open_store(options: &Options) -> Result<(ResultStore, Option<Obs>), String> {
         Some(path) => Some(Obs::with_trace(path).map_err(|e| e.to_string())?),
         None => None,
     };
-    let store = match &options.store {
-        Some(path) => {
-            report_stale_lock(
-                serve_lock::refuse_if_live(path, &options.command).map_err(|e| e.to_string())?,
-                path,
-            );
-            let opened =
-                ResultStore::open_resumable(path, obs.as_ref()).map_err(|e| e.to_string())?;
-            note_replayed(path, opened.replayed);
-            opened.store
-        }
-        None => ResultStore::new(),
+    let Some(path) = &options.store else {
+        return Ok((OpenedStore::default(), obs));
     };
-    Ok((store, obs))
+    let opened = ResultStore::open_resumable(path, &options.command, obs.as_ref())
+        .map_err(|e| e.to_string())?;
+    note_open(path, opened.replayed, opened.stale_lock.as_ref());
+    Ok((opened, obs))
 }
 
-/// Says how many cells a killed run left in the journal beside `store`
-/// (printed even under `--quiet`, like a run's summary line).
-fn note_replayed(store: &Path, replayed: usize) {
+/// Says what opening `store` found: the cells a killed run left in its
+/// journal (stdout, even under `--quiet`) and a dead owner's lock.
+fn note_open(store: &Path, replayed: usize, stale_lock: Option<&LockInfo>) {
     if replayed > 0 {
         println!(
             "{replayed} journal cells replayed from {}",
             store::journal_path(store).display()
         );
     }
+    if let Some(info) = stale_lock {
+        eprintln!(
+            "note: stale store lock at {} (dead pid {}, `campaign {}`): readers ignore it, \
+             writers break it",
+            store::lock_path(store).display(),
+            info.pid,
+            info.cmd,
+        );
+    }
+}
+
+/// Whether two store paths name one store.
+fn same_store(a: &Path, b: &Path) -> bool {
+    a == b
+        || std::fs::canonicalize(a)
+            .ok()
+            .is_some_and(|a| std::fs::canonicalize(b).ok() == Some(a))
 }
 
 /// Runs `runner` in a [`Session`] built from the persistence flags
@@ -962,8 +964,8 @@ fn run_or_report(registry: &Registry, options: &Options) -> Result<u8, String> {
         replicates: options.replicates.unwrap_or(1),
         keep_replicates: options.keep_replicates,
     };
-    let (mut store, obs) = open_store(options)?;
-    let campaign = run_session(options, &mut store, obs.as_ref(), |store, hooks| {
+    let (mut opened, obs) = open_store(options)?;
+    let campaign = run_session(options, &mut opened.store, obs.as_ref(), |store, hooks| {
         run_campaign_with(
             registry,
             &options.scenarios,
@@ -1038,7 +1040,7 @@ fn shard(options: &Options) -> Result<u8, String> {
     // manifest, not from local flags: every worker must claim shards of
     // the exact campaign that was planned.
     let registry = dist::registry_for(&manifest);
-    let (mut store, obs) = open_store(options)?;
+    let (mut opened, obs) = open_store(options)?;
     let (campaign, steal_stats) = if options.steal {
         let lease_dir = options
             .leases
@@ -1047,20 +1049,21 @@ fn shard(options: &Options) -> Result<u8, String> {
         // `open` stamps the directory with this campaign's digest and
         // refuses stale lease directories from an earlier plan.
         let leases = dist::LeaseDir::open(&lease_dir, &manifest).map_err(|e| e.to_string())?;
-        let (campaign, stats) = run_session(options, &mut store, obs.as_ref(), |store, hooks| {
-            dist::run_shard_stealing(
-                &registry,
-                &manifest,
-                index,
-                options.threads,
-                store,
-                &leases,
-                hooks,
-            )
-        })?;
+        let (campaign, stats) =
+            run_session(options, &mut opened.store, obs.as_ref(), |store, hooks| {
+                dist::run_shard_stealing(
+                    &registry,
+                    &manifest,
+                    index,
+                    options.threads,
+                    store,
+                    &leases,
+                    hooks,
+                )
+            })?;
         (campaign, Some(stats))
     } else {
-        let campaign = run_session(options, &mut store, obs.as_ref(), |store, hooks| {
+        let campaign = run_session(options, &mut opened.store, obs.as_ref(), |store, hooks| {
             dist::run_shard_with(&registry, &manifest, index, options.threads, store, hooks)
         })?;
         (campaign, None)
@@ -1103,27 +1106,32 @@ fn merge(options: &Options) -> Result<u8, String> {
                 .into(),
         );
     }
-    // A live daemon both reads (inputs) and writes (--out) its store on
-    // its own schedule; merging against either end races it.
-    for path in options
-        .positional
-        .iter()
-        .chain(std::iter::once(&out.to_path_buf()))
-    {
-        report_stale_lock(
-            serve_lock::refuse_if_live(path, "merge").map_err(|e| e.to_string())?,
-            path,
-        );
-    }
     let obs = match &options.trace {
         Some(path) => Some(Obs::with_trace(path).map_err(|e| e.to_string())?),
         None => None,
     };
+    // The output is opened as the writer before any input is read, its
+    // lock held until the checkpoint; an input that is the output
+    // itself is read through that open.
+    let mut writer = ResultStore::open_resumable(out, "merge", None).map_err(|e| e.to_string())?;
+    note_open(out, 0, writer.stale_lock.as_ref());
     let stores = options
         .positional
         .iter()
-        .map(|p| ResultStore::load_required(p).map_err(|e| e.to_string()))
-        .collect::<Result<Vec<_>, _>>()?;
+        .map(|p| {
+            if same_store(p, out) {
+                store::require(p)?;
+                note_open(p, writer.replayed, None);
+                // Taken, not cloned: a repeat of the output adds
+                // nothing to the union.
+                return Ok(std::mem::take(&mut writer.store));
+            }
+            let opened = ResultStore::load_required(p)?;
+            note_open(p, opened.replayed, opened.stale_lock.as_ref());
+            Ok(opened.store)
+        })
+        .collect::<Result<Vec<_>, ScenarioError>>()
+        .map_err(|e| e.to_string())?;
     let inputs_merged = stores.len();
     let (fused, stats) =
         dist::merge_stores_owned_observed(stores, obs.as_ref()).map_err(|e| e.to_string())?;
@@ -1172,7 +1180,7 @@ fn merge(options: &Options) -> Result<u8, String> {
         }
     }
     fused
-        .save_observed(out, obs.as_ref())
+        .checkpoint_observed(out, obs.as_ref())
         .map_err(|e| e.to_string())?;
     finish_trace(obs.as_ref(), options.quiet);
     // --quiet mutes the summary line; an explicitly requested --report
@@ -1209,7 +1217,12 @@ fn diff(options: &Options) -> Result<u8, String> {
     if let Some(sigmas) = options.sigmas {
         tol = tol.with_sigmas(sigmas);
     }
-    let load = |p: &Path| ResultStore::load_required(p).map_err(|e| e.to_string());
+    let load = |p: &Path| {
+        let opened = ResultStore::load_required(p).map_err(|e| e.to_string())?;
+        // stdout is the diff report alone: only the stale note.
+        note_open(p, 0, opened.stale_lock.as_ref());
+        Ok::<_, String>(opened.store)
+    };
     let (a, b) = (load(baseline)?, load(compared)?);
     let report = dist::diff_stores(&a, &b, &tol);
     if !options.quiet || !report.is_empty() {
@@ -1220,20 +1233,6 @@ fn diff(options: &Options) -> Result<u8, String> {
     } else {
         EXIT_DIFFERENCES
     })
-}
-
-/// Prints the remediation note for a stale (dead-owner) store lock a
-/// command decided to ignore — so the operator learns the lock exists
-/// and why it did not block.
-fn report_stale_lock(stale: Option<serve_lock::LockInfo>, store: &Path) {
-    if let Some(info) = stale {
-        eprintln!(
-            "note: ignoring stale store lock at {} (dead pid {}) — remove it, or let the \
-             next `campaign serve` break it automatically",
-            serve_lock::lock_path(store).display(),
-            info.pid,
-        );
-    }
 }
 
 /// `campaign serve`: the always-on query/submit daemon over a store.
@@ -1257,7 +1256,11 @@ fn serve_cmd(options: &Options) -> Result<u8, String> {
         obs.clone(),
     )
     .map_err(|e| e.to_string())?;
-    report_stale_lock(handle.broke_stale_lock.clone(), store_path);
+    note_open(
+        store_path,
+        handle.opened.replayed,
+        handle.opened.stale_lock.as_ref(),
+    );
     let addr = handle.addr();
     if let Some(port_file) = &options.port_file {
         // Written via a rename so a poller never reads a half-written
@@ -1268,15 +1271,7 @@ fn serve_cmd(options: &Options) -> Result<u8, String> {
             .map_err(|e| format!("write {}: {e}", port_file.display()))?;
     }
     if !options.quiet {
-        println!(
-            "serve: listening on {addr} ({} cells{})",
-            handle.cells(),
-            if handle.replayed > 0 {
-                format!(", {} journal cells replayed", handle.replayed)
-            } else {
-                String::new()
-            }
-        );
+        println!("serve: listening on {addr} ({} cells)", handle.cells());
     }
     let summary = handle.wait().map_err(|e| e.to_string())?;
     finish_trace(obs.as_ref(), options.quiet);

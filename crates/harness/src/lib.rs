@@ -44,7 +44,11 @@
 //!   *crash-resumable*: every completed cell is journaled (fsync'd per
 //!   batch), the next open of a SIGKILL'd campaign's store replays it
 //!   via [`ResultStore::open_resumable`], and `checkpoint()` compacts
-//!   the pair atomically.
+//!   the pair atomically. A store has one writer at a time: the writer
+//!   open takes a `store.json.lock` pidfile ([`store::StoreLock`]) held
+//!   until the final checkpoint, readers
+//!   ([`ResultStore::load_required`]) refuse a live writer's store, and
+//!   a dead owner's lock is broken by the next writer.
 //! * [`session`] — the persistence policy around one run: a
 //!   [`Session`] opens the journal and the telemetry sidecar, hands the
 //!   runner its hooks, and checkpoints the store whatever the runner
@@ -86,11 +90,8 @@
 //!   behind a bounded accept pool). Submitted campaigns run on the
 //!   streaming executor with crash-resume journaling and publish into
 //!   the live index atomically; graceful shutdown drains, checkpoints
-//!   and fsyncs, leaving a store byte-identical to the batch run's. A
-//!   `store.json.lock` pidfile ([`serve::lock`]) keeps every command
-//!   that writes a store (`run`/`report`/`shard`, `gc`, `convert`,
-//!   `merge`) from racing a live daemon, with dead-owner locks detected as
-//!   stale and broken automatically.
+//!   and fsyncs, leaving a store byte-identical to the batch run's.
+//!   The daemon is its store's writer, so it holds the store's lock.
 //! * [`gen`] — generated-program sweeps: a deterministic corpus of
 //!   `tinyisa::codegen` programs whose shape (`depth`, `stmts`,
 //!   `loop_iters`, `program_index`) is exposed as matrix axes, swept

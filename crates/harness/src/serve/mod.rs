@@ -26,7 +26,8 @@
 //! * **Shutdown** is graceful: stop accepting, drain in-flight
 //!   connections, cancel any running job cooperatively (its completed
 //!   cells are journaled, so a resubmit resumes), checkpoint, fsync,
-//!   release the [`lock::StoreLock`].
+//!   release the store's writer lock, taken by the writer open at
+//!   bind.
 //!
 //! Because a submitted campaign runs through the same session (executor,
 //! journal, checkpoint writer) as a batch `campaign run`, the store a daemon
@@ -49,7 +50,6 @@
 //! metrics always on.
 
 pub mod index;
-pub mod lock;
 pub mod top;
 
 use crate::exec::{run_campaign_with, CellDomain, CellEvent, ExecConfig};
@@ -62,9 +62,8 @@ use crate::registry::Registry;
 use crate::report;
 use crate::scenario::{CellResult, Params, ScenarioError};
 use crate::session::{unpoison, Session};
-use crate::store::ResultStore;
+use crate::store::{OpenedStore, ResultStore};
 use index::StoreIndex;
-use lock::{LockInfo, StoreLock};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -370,9 +369,9 @@ pub struct ServeSummary {
 pub struct Server;
 
 impl Server {
-    /// Takes the store lock, opens the store resumably, builds the hot
-    /// index, binds the listener and starts the accept + scheduler
-    /// threads. The daemon then runs until a `shutdown` op (or
+    /// Opens the store as its writer (lock taken, journal replayed),
+    /// builds the hot index, binds the listener and starts the accept +
+    /// scheduler threads. The daemon then runs until a `shutdown` op (or
     /// [`ServerHandle::shutdown`]); call [`ServerHandle::wait`] to
     /// block until then.
     pub fn bind(
@@ -380,13 +379,14 @@ impl Server {
         options: ServeOptions,
         obs: Option<Obs>,
     ) -> Result<ServerHandle, ScenarioError> {
-        let (store_lock, broke_stale_lock) = StoreLock::acquire(store_path, "serve")?;
-        let opened = ResultStore::open_resumable(store_path, obs.as_ref())?;
-        let replayed = opened.replayed;
+        let mut opened = ResultStore::open_resumable(store_path, "serve", obs.as_ref())?;
         // A binary columnar checkpoint ships its symbol table; the
         // index adopts it wholesale instead of re-interning.
-        let index = Arc::new(StoreIndex::build_with_vocab(&opened.store, opened.symbols));
-        let store = opened.store;
+        let index = Arc::new(StoreIndex::build_with_vocab(
+            &opened.store,
+            opened.symbols.take(),
+        ));
+        let store = std::mem::take(&mut opened.store);
         let listener = TcpListener::bind(&options.addr)
             .map_err(|e| ScenarioError::Store(format!("bind {}: {e}", options.addr)))?;
         let local_addr = listener
@@ -429,11 +429,9 @@ impl Server {
         };
         Ok(ServerHandle {
             inner,
-            store_lock: Some(store_lock),
             accept: Some(accept),
             scheduler: Some(scheduler),
-            replayed,
-            broke_stale_lock,
+            opened,
         })
     }
 }
@@ -442,13 +440,12 @@ impl Server {
 /// [`ServerHandle::wait`] that finishes the lifecycle.
 pub struct ServerHandle {
     inner: Arc<ServerInner>,
-    store_lock: Option<StoreLock>,
     accept: Option<std::thread::JoinHandle<()>>,
     scheduler: Option<std::thread::JoinHandle<()>>,
-    /// Journal cells replayed at open (crash recovery).
-    pub replayed: usize,
-    /// The stale lock broken at startup, if any (dead-pid remediation).
-    pub broke_stale_lock: Option<LockInfo>,
+    /// What the writer open reported (journal cells replayed, a stale
+    /// lock broken). It holds the store's lock until [`Self::wait`];
+    /// its store has moved into the daemon.
+    pub opened: OpenedStore,
 }
 
 impl ServerHandle {
@@ -494,8 +491,8 @@ impl ServerHandle {
         store.checkpoint_observed(&self.inner.store_path, self.inner.obs.as_ref())?;
         let cells = store.len();
         drop(store);
-        if let Some(store_lock) = self.store_lock.take() {
-            store_lock.release()?;
+        if let Some(lock) = self.opened.lock.take() {
+            lock.release()?;
         }
         let inner = &self.inner;
         let jobs = unpoison(inner.jobs.lock());
@@ -1565,7 +1562,7 @@ mod tests {
         assert_eq!(summary.query_hits, 1);
         assert_eq!(summary.query_misses, 1);
         assert!(summary.cells > 0);
-        assert!(!lock::lock_path(&store_path).exists());
+        assert!(!crate::store::lock_path(&store_path).exists());
 
         // The daemon's store is byte-identical to a batch run of the
         // same campaign (same executor, same checkpoint writer).
@@ -1796,10 +1793,12 @@ mod tests {
             Err(e) => e,
         };
         assert!(err.to_string().contains("pid"), "{err}");
-        assert!(lock::refuse_if_live(&store_path, "gc").is_err());
+        assert!(ResultStore::open_resumable(&store_path, "gc", None).is_err());
+        assert!(ResultStore::load_required(&store_path).is_err());
         handle.shutdown();
         handle.wait().unwrap();
-        assert_eq!(lock::refuse_if_live(&store_path, "gc").unwrap(), None);
+        let opened = ResultStore::load_required(&store_path).unwrap();
+        assert_eq!(opened.stale_lock, None);
         std::fs::remove_dir_all(&dir).ok();
     }
 

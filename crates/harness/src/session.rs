@@ -229,7 +229,8 @@ mod tests {
             ..Session::default()
         };
         let run = |journal_lines: &mut Option<Vec<String>>| {
-            let mut store = ResultStore::open_resumable(&path, None).unwrap().store;
+            let opened = ResultStore::open_resumable(&path, "run", None).unwrap();
+            let (mut store, _lock) = (opened.store, opened.lock);
             session
                 .run(&mut store, |store, hooks| {
                     let outcome = run_campaign_with(

@@ -1,20 +1,13 @@
-//! The `store.json.lock` pidfile protocol.
+//! The `store.json.lock` pidfile: one writer per store.
 //!
-//! A live `campaign serve` daemon owns its store exclusively: it holds
-//! the cells hot in memory and checkpoints them on its own schedule, so
-//! a concurrent `gc` or `merge` rewriting (or even reading) the file
-//! would race the daemon's journal and checkpoints. The lock is a
-//! sidecar created with `O_EXCL` (the same atomic-create primitive as
-//! the dist steal leases) holding the owner's pid, so every other
-//! command can tell *who* holds the store — and, crucially, whether
-//! that owner is still alive.
-//!
-//! Stale locks never wedge a store: a lock whose pid is dead (the
-//! daemon was SIGKILLed, the machine rebooted) is detected via
-//! `/proc/<pid>` and broken automatically by the next
-//! [`StoreLock::acquire`], while read-side checks
-//! ([`refuse_if_live`]) report it as ignorable with the remediation
-//! spelled out instead of refusing forever.
+//! Every writer ends in a checkpoint that deletes the journal, so two
+//! at once lose cells. The writer open
+//! ([`super::ResultStore::open_resumable`]) therefore takes this lock, a
+//! sidecar created with `O_EXCL` holding the owner's pid and command;
+//! the reader open ([`super::ResultStore::load_required`]) takes none
+//! but refuses a live one. A lock whose pid is dead (or whose file is
+//! torn) is stale: readers report it, the next writer breaks it, so a
+//! crashed owner never wedges the store.
 
 use crate::json::Json;
 use crate::scenario::ScenarioError;
@@ -38,40 +31,25 @@ pub struct LockInfo {
     pub cmd: String,
 }
 
-/// The observed state of a store's lock.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LockState {
-    /// No lock file.
-    Unlocked,
-    /// Locked by a process that is still running.
-    Live(LockInfo),
-    /// Locked by a dead process (or the lock file is torn) — safe to
-    /// break.
-    Stale(LockInfo),
-}
-
-/// Whether `pid` names a running process. Conservative off Linux: a
-/// pid we cannot probe is treated as alive, so an unbreakable lock is
-/// at worst a refusal with remediation, never a broken live lock.
+/// Whether `pid` names a running process; pid 0, a torn lock's, never
+/// does. Conservative off Linux: a pid we cannot probe is treated as
+/// alive, so an unbreakable lock is at worst a refusal with
+/// remediation, never a broken live lock.
 fn pid_alive(pid: u32) -> bool {
-    if pid == std::process::id() {
-        return true;
-    }
-    if cfg!(target_os = "linux") {
-        Path::new("/proc").join(pid.to_string()).exists()
-    } else {
-        true
-    }
+    pid != 0
+        && (pid == std::process::id()
+            || !cfg!(target_os = "linux")
+            || Path::new("/proc").join(pid.to_string()).exists())
 }
 
-/// Reads and classifies the lock beside `store`, probing the owner pid
-/// for liveness. A lock file that exists but does not parse is
-/// classified stale: only a crashed owner leaves a torn lock behind.
-pub fn inspect(store: &Path) -> Result<LockState, ScenarioError> {
+/// The owner the lock beside `store` names, `None` without a lock. A
+/// lock file that does not parse names pid 0: only a crashed owner
+/// leaves a torn lock behind.
+fn owner(store: &Path) -> Result<Option<LockInfo>, ScenarioError> {
     let path = lock_path(store);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(LockState::Unlocked),
+    let bytes = match std::fs::read(&path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => {
             return Err(ScenarioError::Store(format!(
                 "read {}: {e}",
@@ -79,47 +57,44 @@ pub fn inspect(store: &Path) -> Result<LockState, ScenarioError> {
             )))
         }
     };
-    let info = Json::parse(text.trim()).ok().and_then(|doc| {
-        Some(LockInfo {
-            pid: doc.get("pid").and_then(Json::as_f64)? as u32,
-            cmd: doc
-                .get("cmd")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string(),
-        })
-    });
-    Ok(match info {
-        None => LockState::Stale(LockInfo {
-            pid: 0,
-            cmd: "?".to_string(),
-        }),
-        Some(info) if pid_alive(info.pid) => LockState::Live(info),
-        Some(info) => LockState::Stale(info),
-    })
+    let info = Json::parse(String::from_utf8_lossy(&bytes).trim())
+        .ok()
+        .and_then(|doc| {
+            Some(LockInfo {
+                pid: doc.get("pid").and_then(Json::as_f64)? as u32,
+                cmd: doc
+                    .get("cmd")
+                    .and_then(Json::as_str)
+                    .unwrap_or("?")
+                    .to_string(),
+            })
+        });
+    Ok(Some(info.unwrap_or(LockInfo {
+        pid: 0,
+        cmd: "?".to_string(),
+    })))
 }
 
-/// Refuses `op` (gc, merge, …) when a live daemon holds `store`;
-/// returns the stale lock it is safe to ignore, if any, so the caller
-/// can print the remediation note.
-pub fn refuse_if_live(store: &Path, op: &str) -> Result<Option<LockInfo>, ScenarioError> {
-    match inspect(store)? {
-        LockState::Unlocked => Ok(None),
-        LockState::Stale(info) => Ok(Some(info)),
-        LockState::Live(info) => Err(ScenarioError::Store(format!(
-            "refusing to {op} {}: a live `campaign {}` (pid {}) holds {} — \
-             send it the shutdown op (or stop the process) and retry; \
-             a dead owner's lock is detected as stale and never blocks",
+/// Refuses a live owner's store, naming it and the remediation — the
+/// one refusal readers and writers share — and returns a stale lock
+/// (left in place) so the caller can report it.
+pub(super) fn refuse_live(store: &Path) -> Result<Option<LockInfo>, ScenarioError> {
+    match owner(store)? {
+        Some(info) if pid_alive(info.pid) => Err(ScenarioError::Store(format!(
+            "store {} is held by a live `campaign {}` (pid {}) through {} — send it the \
+             shutdown op (or stop the process) and retry; a dead owner's lock is detected \
+             as stale and never blocks",
             store.display(),
             info.cmd,
             info.pid,
             lock_path(store).display(),
         ))),
+        stale => Ok(stale),
     }
 }
 
-/// An exclusive hold on a store, released on drop (best-effort) or via
-/// [`StoreLock::release`] (checked).
+/// A writer's exclusive hold on a store, released on drop (best-effort)
+/// or via [`StoreLock::release`] (checked).
 #[derive(Debug)]
 pub struct StoreLock {
     path: PathBuf,
@@ -128,15 +103,16 @@ pub struct StoreLock {
 
 impl StoreLock {
     /// Takes the lock beside `store` for subcommand `cmd`. A stale
-    /// lock (dead pid or torn file) is broken automatically and
-    /// returned so the caller can report it; a live lock refuses with
-    /// the owner named and the remediation spelled out.
-    pub fn acquire(
+    /// lock is broken and returned so the caller can report it; a live
+    /// lock refuses with the owner named and the remediation spelled
+    /// out.
+    pub(super) fn acquire(
         store: &Path,
         cmd: &str,
     ) -> Result<(StoreLock, Option<LockInfo>), ScenarioError> {
         let path = lock_path(store);
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        if let Some(dir) = dir {
             std::fs::create_dir_all(dir)
                 .map_err(|e| ScenarioError::Store(format!("mkdir {}: {e}", dir.display())))?;
         }
@@ -151,6 +127,12 @@ impl StoreLock {
                 .open(&path)
             {
                 Ok(file) => {
+                    // Armed before the write: a failed write must not
+                    // leave an empty lock behind.
+                    let lock = StoreLock {
+                        path: path.clone(),
+                        armed: true,
+                    };
                     let doc = Json::Obj(vec![
                         ("pid".to_string(), Json::Num(std::process::id() as f64)),
                         ("cmd".to_string(), Json::str(cmd)),
@@ -160,37 +142,27 @@ impl StoreLock {
                     std::io::Write::write_all(&mut &file, text.as_bytes())
                         .and_then(|()| file.sync_all())
                         .map_err(|e| {
-                            ScenarioError::Store(format!("write {}: {e}", path.display()))
+                            ScenarioError::Store(format!("write {}: {e}", lock.path.display()))
                         })?;
-                    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+                    if let Some(dir) = dir {
                         sync_dir(dir)?;
                     }
-                    return Ok((StoreLock { path, armed: true }, broke));
+                    return Ok((lock, broke));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    match inspect(store)? {
-                        // Raced a release between create and inspect.
-                        LockState::Unlocked => continue,
-                        LockState::Live(info) => {
-                            return Err(ScenarioError::Store(format!(
-                                "store {} is held by a live `campaign {}` (pid {}) — \
-                                 send it the shutdown op (or stop the process) and retry; \
-                                 a dead owner's lock is broken automatically",
-                                store.display(),
-                                info.cmd,
-                                info.pid,
-                            )))
-                        }
-                        LockState::Stale(info) if attempt == 0 => {
+                    match refuse_live(store)? {
+                        // Raced a release between create and read.
+                        None => continue,
+                        Some(stale) if attempt == 0 => {
                             std::fs::remove_file(&path).map_err(|e| {
                                 ScenarioError::Store(format!(
                                     "break stale lock {}: {e}",
                                     path.display()
                                 ))
                             })?;
-                            broke = Some(info);
+                            broke = Some(stale);
                         }
-                        LockState::Stale(_) => break,
+                        Some(_) => break,
                     }
                 }
                 Err(e) => {
@@ -205,11 +177,6 @@ impl StoreLock {
             "lock {} is contended: another process keeps re-creating it",
             path.display()
         )))
-    }
-
-    /// The lock file's location.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Removes the lock file, surfacing failures (drop only removes
@@ -244,17 +211,21 @@ mod tests {
     fn acquire_release_round_trips() {
         let dir = scratch("round");
         let store = dir.join("store.json");
-        assert_eq!(inspect(&store).unwrap(), LockState::Unlocked);
+        assert_eq!(refuse_live(&store).unwrap(), None);
         let (lock, broke) = StoreLock::acquire(&store, "serve").unwrap();
         assert!(broke.is_none());
-        // Our own pid is live, so a second taker must refuse.
-        let err = StoreLock::acquire(&store, "serve").unwrap_err();
-        assert!(err.to_string().contains("shutdown"), "{err}");
-        assert!(matches!(inspect(&store).unwrap(), LockState::Live(_)));
-        assert!(refuse_if_live(&store, "gc").is_err());
+        // Our own pid is live, so a second writer and a reader refuse.
+        let err = StoreLock::acquire(&store, "run").unwrap_err().to_string();
+        assert!(err.contains("shutdown"), "{err}");
+        assert!(err.contains("`campaign serve`"), "{err}");
+        assert!(
+            err.contains(&format!("pid {}", std::process::id())),
+            "{err}"
+        );
+        assert_eq!(refuse_live(&store).unwrap_err().to_string(), err);
         lock.release().unwrap();
-        assert_eq!(inspect(&store).unwrap(), LockState::Unlocked);
-        assert_eq!(refuse_if_live(&store, "gc").unwrap(), None);
+        assert!(!lock_path(&store).exists());
+        assert_eq!(refuse_live(&store).unwrap(), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -268,8 +239,7 @@ mod tests {
             "{\"pid\":4000000000,\"cmd\":\"serve\"}\n",
         )
         .unwrap();
-        assert!(matches!(inspect(&store).unwrap(), LockState::Stale(_)));
-        let stale = refuse_if_live(&store, "gc").unwrap();
+        let stale = refuse_live(&store).unwrap();
         assert_eq!(stale.unwrap().pid, 4_000_000_000);
         let (lock, broke) = StoreLock::acquire(&store, "serve").unwrap();
         assert_eq!(broke.unwrap().pid, 4_000_000_000);
@@ -277,8 +247,8 @@ mod tests {
         // A torn lock file (crash mid-write) is stale with pid 0.
         std::fs::write(lock_path(&store), "{\"pid\":40").unwrap();
         assert_eq!(
-            inspect(&store).unwrap(),
-            LockState::Stale(LockInfo {
+            refuse_live(&store).unwrap(),
+            Some(LockInfo {
                 pid: 0,
                 cmd: "?".to_string()
             })

@@ -18,6 +18,10 @@
 //! is what makes every stored campaign crash-resumable with zero
 //! recompute.
 //!
+//! A store has one writer at a time: the writer open holds the store's
+//! pidfile lock ([`StoreLock`]) until its final checkpoint, and the
+//! reader open ([`ResultStore::load_required`]) refuses a live one.
+//!
 //! The checkpoint itself exists in two formats: the human-readable
 //! deterministic JSON above, and the [`columnar`] binary layout (same
 //! canonical order, interned strings, f64 metric columns) for stores
@@ -29,6 +33,9 @@
 //! checkpoint formats replay it identically.
 
 pub mod columnar;
+mod lock;
+
+pub use lock::{lock_path, LockInfo, StoreLock};
 
 use crate::json::Json;
 use crate::scenario::{CellResult, Params, ScenarioError};
@@ -36,9 +43,10 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 /// The two on-disk checkpoint formats, told apart by file magic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreFormat {
     /// Deterministic pretty-printed JSON — the interchange format.
+    #[default]
     Json,
     /// The [`columnar`] binary layout — the at-scale format.
     Binary,
@@ -98,8 +106,9 @@ pub fn sniff_format(path: &Path) -> Result<StoreFormat, ScenarioError> {
     }
 }
 
-/// What a format-transparent open learned about a store file.
-#[derive(Debug)]
+/// What a format-transparent open learned about a store file. The
+/// default is an in-memory run's: an empty store, no file, no lock.
+#[derive(Debug, Default)]
 pub struct OpenedStore {
     /// The current-schema cells (other schemas load empty, exactly
     /// like [`ResultStore::from_json`]).
@@ -111,9 +120,13 @@ pub struct OpenedStore {
     /// it wholesale instead of re-interning. `None` for JSON files,
     /// missing files, and binary files of another schema.
     pub symbols: Option<Vec<String>>,
-    /// Journal cells [`ResultStore::open_resumable`] replayed over the
-    /// checkpoint (0 for [`ResultStore::open_any`]).
+    /// Journal cells replayed over the checkpoint (0 for
+    /// [`ResultStore::open_any`]).
     pub replayed: usize,
+    /// The writer open's hold on the store.
+    pub lock: Option<StoreLock>,
+    /// A dead owner's lock: broken by a writer, left by a reader.
+    pub stale_lock: Option<LockInfo>,
 }
 
 /// Bump when the fingerprint inputs or stored layout change; old
@@ -422,10 +435,8 @@ impl ResultStore {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 return Ok(OpenedStore {
-                    store: ResultStore::new(),
                     format: sniff_format(path)?,
-                    symbols: None,
-                    replayed: 0,
+                    ..OpenedStore::default()
                 });
             }
             Err(e) => {
@@ -450,7 +461,7 @@ impl ResultStore {
                 },
                 format: StoreFormat::Binary,
                 symbols: current.then_some(decoded.symbols),
-                replayed: 0,
+                ..OpenedStore::default()
             })
         } else {
             let text = String::from_utf8(bytes).map_err(|e| {
@@ -464,25 +475,22 @@ impl ResultStore {
                 .map_err(|e| ScenarioError::Store(format!("json store {}: {e}", path.display())))?;
             Ok(OpenedStore {
                 store: ResultStore::from_json(&doc)?,
-                format: StoreFormat::Json,
-                symbols: None,
-                replayed: 0,
+                ..OpenedStore::default()
             })
         }
     }
 
-    /// Opens an input store (merge, diff) with its journal replayed,
-    /// treating a *missing* store — neither a checkpoint nor a journal —
-    /// as an error, unlike a memoization cache created on first use.
-    /// The journal is folded in memory only; the input is not written.
-    pub fn load_required(path: &Path) -> Result<ResultStore, ScenarioError> {
-        if !path.exists() && !journal_path(path).exists() {
-            return Err(ScenarioError::Store(format!(
-                "no such store: {}",
-                path.display()
-            )));
-        }
-        Ok(ResultStore::open_resumable(path, None)?.store)
+    /// The reader's open (`diff`, `merge` inputs, `convert`'s input,
+    /// `gc --dry-run`): the journal replayed in memory only, no lock
+    /// taken, a live writer's store refused (a read racing its
+    /// checkpoint could find the journal gone) and a *missing* store an
+    /// error, unlike a memoization cache created on first use.
+    pub fn load_required(path: &Path) -> Result<OpenedStore, ScenarioError> {
+        let stale_lock = lock::refuse_live(path)?;
+        require(path)?;
+        let mut opened = ResultStore::open_replayed(path, None)?;
+        opened.stale_lock = stale_lock;
+        Ok(opened)
     }
 
     /// Writes the store to disk (creating parent directories). The
@@ -530,18 +538,31 @@ impl ResultStore {
         write_atomic(path, &bytes)
     }
 
-    /// Opens a store *and replays its sidecar journal*: the one open of
-    /// every command that writes a store back (`run`/`report`, `shard`,
-    /// `gc`, `convert`, the serve daemon). [`OpenedStore::replayed`]
-    /// counts the journal cells replayed. Cells a SIGKILL'd campaign
-    /// journaled but never checkpointed come back as memoized hits, so
-    /// the rerun executes only the remainder. Journal lines of another
-    /// store schema are skipped (those cells recompute, like
-    /// [`Self::load`] drops them); a torn *final* line — the telltale of
-    /// a kill mid-append — is ignored; a torn line anywhere earlier is
-    /// real corruption and errors. With a recorder, the load runs under
-    /// a `store/load` span and the replay under `journal/replay`.
+    /// The writer's open, of every command that writes a store back
+    /// (`run`/`report`, `shard`, `gc`, `convert`'s output, `merge --out`,
+    /// the serve daemon): takes the store's lock for subcommand `cmd` —
+    /// keep [`OpenedStore::lock`] until the final checkpoint — and
+    /// replays the journal, so the cells a SIGKILL'd campaign journaled
+    /// come back as memoized hits.
     pub fn open_resumable(
+        path: &Path,
+        cmd: &str,
+        obs: Option<&crate::obs::Obs>,
+    ) -> Result<OpenedStore, ScenarioError> {
+        let (lock, stale_lock) = StoreLock::acquire(path, cmd)?;
+        let mut opened = ResultStore::open_replayed(path, obs)?;
+        opened.lock = Some(lock);
+        opened.stale_lock = stale_lock;
+        Ok(opened)
+    }
+
+    /// The checkpoint with its journal replayed over it. Journal lines
+    /// of another store schema are skipped (those cells recompute, like
+    /// [`Self::load`] drops them); a torn *final* line — the telltale
+    /// of a kill mid-append — is ignored; a torn line anywhere earlier
+    /// is real corruption and errors. With a recorder, the load runs
+    /// under a `store/load` span and the replay under `journal/replay`.
+    fn open_replayed(
         path: &Path,
         obs: Option<&crate::obs::Obs>,
     ) -> Result<OpenedStore, ScenarioError> {
@@ -608,6 +629,18 @@ impl ResultStore {
         }
         Ok(())
     }
+}
+
+/// Errors `no such store` unless `path` has a checkpoint or a journal
+/// (a run killed before its first checkpoint leaves only a journal).
+pub fn require(path: &Path) -> Result<(), ScenarioError> {
+    if path.exists() || journal_path(path).exists() {
+        return Ok(());
+    }
+    Err(ScenarioError::Store(format!(
+        "no such store: {}",
+        path.display()
+    )))
 }
 
 /// The sidecar journal of a store: `store.json` → `store.json.journal`.
@@ -1628,7 +1661,7 @@ mod tests {
             store: resumed,
             replayed,
             ..
-        } = ResultStore::open_resumable(&path, None).unwrap();
+        } = ResultStore::open_resumable(&path, "test", None).unwrap();
         assert_eq!(replayed, 1);
         assert_eq!(resumed.len(), 3);
         assert_eq!(resumed.get_by_fingerprint(&fp), Some(&cell));
@@ -1640,8 +1673,11 @@ mod tests {
         resumed.checkpoint(&path).unwrap();
         assert!(!journal_path(&path).exists());
         assert_eq!(ResultStore::load(&path).unwrap().len(), 3);
-        let again = ResultStore::open_resumable(&path, None).unwrap();
+        let again = ResultStore::open_resumable(&path, "test", None).unwrap();
         assert_eq!((again.store.len(), again.replayed), (3, 0));
+        assert!(lock_path(&path).exists(), "a writer open holds the lock");
+        drop(again);
+        assert!(!lock_path(&path).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1668,7 +1704,7 @@ mod tests {
         let mut text = std::fs::read_to_string(&jpath).unwrap();
         text.push_str("{\"schema\":2,\"fp\":\"dead");
         std::fs::write(&jpath, &text).unwrap();
-        let opened = ResultStore::open_resumable(&path, None).unwrap();
+        let opened = ResultStore::load_required(&path).unwrap();
         assert_eq!(
             (opened.store.len(), opened.replayed),
             (1, 1),
@@ -1688,7 +1724,7 @@ mod tests {
         };
         resumed.append(&fp2, &cell2);
         resumed.finish().unwrap();
-        let opened = ResultStore::open_resumable(&path, None).unwrap();
+        let opened = ResultStore::load_required(&path).unwrap();
         assert_eq!(
             (opened.store.len(), opened.replayed),
             (2, 2),
@@ -1704,13 +1740,13 @@ mod tests {
         torn_middle.push('\n');
         std::fs::write(&jpath, &torn_middle).unwrap();
         assert!(matches!(
-            ResultStore::open_resumable(&path, None),
+            ResultStore::load_required(&path),
             Err(ScenarioError::Store(_))
         ));
 
         // Journal lines of another schema are skipped, not replayed.
         std::fs::write(&jpath, "{\"schema\":1,\"fp\":\"aaaa\",\"cell\":{}}\n").unwrap();
-        let opened = ResultStore::open_resumable(&path, None).unwrap();
+        let opened = ResultStore::load_required(&path).unwrap();
         assert_eq!((opened.store.len(), opened.replayed), (0, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1755,7 +1791,7 @@ mod tests {
 
         // The resumable union holds every cell: checkpoint + journal
         // is lossless across compaction boundaries.
-        let resumed = ResultStore::open_resumable(&path, None).unwrap().store;
+        let resumed = ResultStore::load_required(&path).unwrap().store;
         assert_eq!(resumed.len(), 6);
         for seed in 0..=5 {
             let (fp, c) = cell(seed);

@@ -3,9 +3,13 @@
 //! --store S` child is SIGKILLed mid-campaign and the identical command
 //! is run again. The rerun must replay the interrupted work from the
 //! journal instead of recomputing it, and leave a store byte-identical
-//! to an uninterrupted run's.
+//! to an uninterrupted run's. A store has one writer at a time: a
+//! second stored run on a store a live run holds exits 2 and touches
+//! nothing, and `merge --out` checkpoints its output, so no journal of
+//! the output's former self survives to be replayed.
 
-use harness::store::{journal_path, ResultStore};
+use harness::store::{journal_path, lock_path, ResultStore};
+use harness::Journal;
 use std::path::PathBuf;
 use std::process::Command;
 use std::time::{Duration, Instant};
@@ -39,6 +43,13 @@ fn campaign_cmd(args: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_campaign"));
     cmd.args(args);
     cmd
+}
+
+/// Complete (newline-terminated) lines of the journal beside `store`.
+fn journal_lines(store: &std::path::Path) -> Vec<String> {
+    let text = std::fs::read_to_string(journal_path(store)).unwrap_or_default();
+    let complete = text.rfind('\n').map_or("", |end| &text[..end]);
+    complete.lines().map(str::to_string).collect()
 }
 
 fn run_ok(args: &[&str]) -> String {
@@ -111,7 +122,7 @@ fn sigkilled_campaign_resumes_from_the_journal_byte_identically() {
     // the journal holds the completed prefix (a torn tail is fine —
     // replay ignores it).
     assert!(!store.exists(), "no checkpoint must exist before resume");
-    let partial = ResultStore::open_resumable(&store, None).unwrap();
+    let partial = ResultStore::load_required(&store).unwrap();
     let replayed = partial.replayed;
     assert_eq!(partial.store.len(), replayed, "journal is the only state");
     assert!(
@@ -220,4 +231,154 @@ fn retired_persistence_flags_are_unknown() {
             "{args:?}: {stderr}"
         );
     }
+}
+
+#[test]
+fn a_second_writer_is_refused_while_the_first_keeps_its_cells() {
+    let dir = TempDir::new("writers");
+    let store = dir.path("store.json");
+    let store_arg = store.to_str().unwrap();
+    let first_args = [
+        "run",
+        "--scenario",
+        SELECT[0],
+        "--seed",
+        "42",
+        "--quiet",
+        "--threads",
+        "1",
+        "--store",
+        store_arg,
+    ];
+    let mut first = campaign_cmd(&first_args)
+        .env("CAMPAIGN_CELL_DELAY_MS", "300")
+        .stdout(std::process::Stdio::null())
+        .spawn()
+        .expect("campaign child must spawn");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while journal_lines(&store).is_empty() {
+        assert!(
+            Instant::now() < deadline,
+            "the first run never journaled a cell"
+        );
+        assert!(
+            first.try_wait().expect("try_wait").is_none(),
+            "the first run finished before the second could start — raise the cell delay"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    // A second stored run on the same store, over other cells.
+    let before = journal_lines(&store);
+    let second = campaign_cmd(&[
+        "run",
+        "--scenario",
+        SELECT[1],
+        "--seed",
+        "42",
+        "--quiet",
+        "--store",
+        store_arg,
+    ])
+    .output()
+    .expect("campaign must spawn");
+    assert!(
+        first.try_wait().expect("try_wait").is_none(),
+        "the first run finished before the second was refused — raise the cell delay"
+    );
+    assert_eq!(
+        second.status.code(),
+        Some(2),
+        "the second writer must refuse"
+    );
+    let stderr = String::from_utf8_lossy(&second.stderr);
+    assert!(stderr.contains("`campaign run`"), "{stderr}");
+    assert!(stderr.contains(&format!("pid {}", first.id())), "{stderr}");
+    assert!(stderr.contains("shutdown"), "{stderr}");
+    // Untouched: no checkpoint yet, and the journal holds only the
+    // first run's own cells, of which the refused run dropped none.
+    assert!(!store.exists(), "the refused run wrote a checkpoint");
+    let after = journal_lines(&store);
+    assert_eq!(after[..before.len()], before[..]);
+    assert!(
+        after.iter().all(|line| line.contains(SELECT[0])),
+        "a foreign cell reached the journal: {after:?}"
+    );
+
+    let status = first.wait().expect("wait for the first run");
+    assert!(status.success(), "the first run failed: {status}");
+    assert!(!lock_path(&store).exists() && !journal_path(&store).exists());
+    assert_eq!(ResultStore::load(&store).unwrap().len(), 4);
+    let rerun = run_ok(&first_args);
+    assert!(
+        rerun.contains("4 cells: 0 executed, 4 memoized"),
+        "the first run's cells must all be stored: {rerun}"
+    );
+}
+
+#[test]
+fn merge_out_checkpoints_its_output_and_may_read_it_as_an_input() {
+    let dir = TempDir::new("merge-out");
+    let path = |name: &str| dir.path(name).to_str().unwrap().to_string();
+    let run = |scenario: &str, store: &str| {
+        run_ok(&[
+            "run",
+            "--scenario",
+            scenario,
+            "--seed",
+            "42",
+            "--quiet",
+            "--store",
+            store,
+        ])
+    };
+    run(SELECT[0], &path("a.json"));
+    run(SELECT[1], &path("b.json"));
+
+    // A killed earlier run left a journal of two `b` cells beside the
+    // output, which the merge replaces.
+    let out = dir.path("s.json");
+    let mut journal = Journal::open(&out, 1).unwrap();
+    for (fp, cell) in ResultStore::load(&dir.path("b.json"))
+        .unwrap()
+        .iter()
+        .take(2)
+    {
+        journal.append(fp, cell);
+    }
+    journal.finish().unwrap();
+    run_ok(&["merge", "--out", &path("s.json"), &path("a.json")]);
+    assert!(
+        !journal_path(&out).exists(),
+        "merge --out left its output's former journal behind"
+    );
+    assert_eq!(
+        std::fs::read(&out).unwrap(),
+        std::fs::read(dir.path("a.json")).unwrap()
+    );
+    let rerun = run(SELECT[0], &path("s.json"));
+    assert!(!rerun.contains("replayed"), "{rerun}");
+    assert!(rerun.contains("4 cells: 0 executed, 4 memoized"), "{rerun}");
+    assert_eq!(ResultStore::load(&out).unwrap().len(), 4);
+
+    // The output may be one of the inputs: the union lands in it.
+    run_ok(&[
+        "merge",
+        "--out",
+        &path("a.json"),
+        &path("a.json"),
+        &path("b.json"),
+    ]);
+    let mut both = vec!["run", "--seed", "42", "--quiet", "--store"];
+    let reference = path("both.json");
+    both.push(&reference);
+    for scenario in SELECT {
+        both.extend(["--scenario", scenario]);
+    }
+    run_ok(&both);
+    assert_eq!(
+        std::fs::read(dir.path("a.json")).unwrap(),
+        std::fs::read(dir.path("both.json")).unwrap()
+    );
+    assert!(!lock_path(&dir.path("a.json")).exists());
 }

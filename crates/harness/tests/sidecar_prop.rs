@@ -4,7 +4,7 @@
 //!
 //! * A journal truncated at any byte replays exactly its complete
 //!   lines (one more when the cut removed only a record's final `\n`);
-//!   bit flips and splices make [`ResultStore::open_resumable`] return
+//!   bit flips and splices make [`ResultStore::load_required`] return
 //!   `Ok` or an error naming the journal — never panic.
 //! * A truncated telemetry log always loads; a bit-flipped one never
 //!   panics [`Telemetry::load`].
@@ -91,7 +91,7 @@ fn resume(dir: &std::path::Path, journal: &[u8]) -> Result<usize, String> {
     let store = dir.join("store.json");
     let path = journal_path(&store);
     std::fs::write(&path, journal).unwrap();
-    match ResultStore::open_resumable(&store, None) {
+    match ResultStore::load_required(&store) {
         Ok(opened) => Ok(opened.replayed),
         Err(e) if e.to_string().contains(&path.display().to_string()) => Err(e.to_string()),
         Err(e) => panic!("journal error does not name the journal: {e}"),
