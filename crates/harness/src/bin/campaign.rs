@@ -13,7 +13,7 @@
 //!         [--filter A=V]... [--disasm]
 //! cargo run -p harness --bin campaign -- plan --shards N --manifest PATH
 //!         [--scenario ID]... [--filter A=V]... [--seed S] [--corpus-size N]
-//!         [--calibrate STORE]
+//!         [--replicates N]
 //! cargo run -p harness --bin campaign -- shard --manifest PATH --index I
 //!         [--store PATH] [--threads N] [--json PATH] [--csv PATH] [--quiet]
 //!         [--steal] [--leases DIR] [--compact-journal-over N] [--progress]
@@ -115,7 +115,6 @@ struct Options {
     // replicate flags
     replicates: Option<u32>,
     keep_replicates: bool,
-    calibrate: Option<PathBuf>,
     steal: bool,
     leases: Option<PathBuf>,
     positional: Vec<PathBuf>,
@@ -191,7 +190,6 @@ wall-clock telemetry (run/report/shard; needs --store):
                      (<store>.telemetry, JSON lines, fsync-batched like
                      the journal). The store itself stays byte-identical
                      to a run without telemetry; the sidecar feeds
-                     `plan --calibrate` (measured cost weights),
                      `merge --report` (wall-clock balance) and
                      `gc --max-age-days` (age-based eviction)
 
@@ -216,16 +214,12 @@ generated-program corpora:
 distributed campaigns:
   plan   --shards N --manifest PATH [--scenario]... [--filter]...
          [--seed S] [--corpus-size N] [--replicates N]
-         [--calibrate STORE]
-         write the manifest (records per-scenario digests, cost
-         weights, the replicate multiplier and the corpus identity)
-         and print each shard's initial lease of cost-balanced chunks;
-         shards run the raw replicate cells and `merge --manifest`
-         folds them, so the merged store is byte-identical to a
-         single-process `run --replicates N`; --calibrate takes the
-         cost weights from the measured per-cell wall clock in
-         STORE's telemetry sidecar (<STORE>.telemetry), and errors if
-         there is none or it times none of the selected scenarios
+         write the manifest (records per-scenario digests, the
+         replicate multiplier and the corpus identity) and print each
+         shard's initial lease of chunks cut by cell count; shards run
+         the raw replicate cells and `merge --manifest` folds them, so
+         the merged store is byte-identical to a single-process
+         `run --replicates N`
   shard  --manifest PATH --index I [--store PATH] [--threads N]
          [--steal] [--leases DIR]
          run shard I's initial lease against its own store (the
@@ -362,7 +356,6 @@ fn parse(mut args: std::env::Args) -> Result<Options, String> {
         sigmas: None,
         replicates: None,
         keep_replicates: false,
-        calibrate: None,
         steal: false,
         leases: None,
         positional: Vec::new(),
@@ -448,7 +441,6 @@ fn parse(mut args: std::env::Args) -> Result<Options, String> {
                 )
             }
             "--once" => options.once = true,
-            "--calibrate" => options.calibrate = Some(PathBuf::from(value("--calibrate")?)),
             "--steal" => options.steal = true,
             "--leases" => options.leases = Some(PathBuf::from(value("--leases")?)),
             "--shards" => options.shards = Some(small("--shards", value("--shards")?)?),
@@ -548,7 +540,6 @@ fn run(options: Options) -> Result<u8, String> {
             "--corpus-size",
             "--shards",
             "--manifest",
-            "--calibrate",
             "--replicates",
             "--quiet",
         ],
@@ -1001,26 +992,19 @@ fn plan(registry: &Registry, options: &Options) -> Result<u8, String> {
         .manifest
         .as_deref()
         .ok_or("plan needs --manifest PATH")?;
-    let manifest = dist::plan_calibrated_with(
+    let manifest = dist::plan(
         registry,
         &options.scenarios,
         &options.filters,
         options.seed,
         shards,
         options.replicates.unwrap_or(1),
-        options.calibrate.as_deref(),
     )
     .map_err(|e| e.to_string())?;
     manifest.save(path).map_err(|e| e.to_string())?;
     if !options.quiet {
         let chunks = dist::chunk_map(registry, &manifest).map_err(|e| e.to_string())?;
         print!("{}", report::plan_summary(&manifest, &chunks));
-        if let Some(store) = &options.calibrate {
-            println!(
-                "  weights calibrated from wall-clock telemetry ({})",
-                telemetry::telemetry_path(store).display()
-            );
-        }
     }
     println!("manifest written to {}", path.display());
     Ok(0)

@@ -430,6 +430,7 @@ mod tests {
             &[],
             42,
             2,
+            1,
         )
         .unwrap();
         let dir = std::env::temp_dir().join(format!("harness-stealrep-{}", std::process::id()));
@@ -476,7 +477,7 @@ mod tests {
         use crate::dist;
         let registry = Registry::builtin();
         let manifest =
-            dist::plan(&registry, &["pipeline-domino".into()], &[], 42, u32::MAX).unwrap();
+            dist::plan(&registry, &["pipeline-domino".into()], &[], 42, u32::MAX, 1).unwrap();
         let dir = std::env::temp_dir().join(format!("harness-stealhuge-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let leases = LeaseDir::open(&dir, &manifest).unwrap();
@@ -491,14 +492,14 @@ mod tests {
 
     #[test]
     fn replicated_shards_fold_to_the_single_process_store() {
-        use crate::dist::{self, plan_calibrated_with};
+        use crate::dist::{self, plan};
         use crate::exec::{run_campaign, ExecConfig};
         use crate::matrix::Filter;
         use crate::registry::Registry;
 
         let registry = Registry::builtin();
         let select = vec!["pipeline-domino".to_string(), "dram-refresh".to_string()];
-        let manifest = plan_calibrated_with(&registry, &select, &[], 13, 2, 8, None).unwrap();
+        let manifest = plan(&registry, &select, &[], 13, 2, 8).unwrap();
 
         let mut shard_stores = Vec::new();
         for index in 0..manifest.shards {
@@ -534,12 +535,12 @@ mod tests {
 
     #[test]
     fn fold_keep_replicates_retains_raws_and_unreplicated_manifests_noop() {
-        use crate::dist::{self, plan_calibrated_with};
+        use crate::dist::{self, plan};
         use crate::registry::Registry;
 
         let registry = Registry::builtin();
         let select = vec!["pipeline-domino".to_string()];
-        let manifest = plan_calibrated_with(&registry, &select, &[], 3, 1, 4, None).unwrap();
+        let manifest = plan(&registry, &select, &[], 3, 1, 4).unwrap();
         let mut store = ResultStore::new();
         dist::run_shard(&registry, &manifest, 0, 1, &mut store).unwrap();
         assert_eq!(store.len(), 16);
@@ -549,7 +550,7 @@ mod tests {
         assert_eq!(store.iter().filter(|(_, c)| c.fold).count(), 4);
 
         // replicates == 1: nothing to fold, the store is untouched.
-        let plain = plan_calibrated_with(&registry, &select, &[], 3, 1, 1, None).unwrap();
+        let plain = plan(&registry, &select, &[], 3, 1, 1).unwrap();
         let mut plain_store = ResultStore::new();
         dist::run_shard(&registry, &plain, 0, 1, &mut plain_store).unwrap();
         let before = plain_store.to_json().pretty();

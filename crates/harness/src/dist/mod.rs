@@ -6,12 +6,12 @@
 //! [`CampaignSpace`](crate::space::CampaignSpace) (see
 //! [`Manifest::space`]), the same index space the executor runs:
 //!
-//! * [`plan()`] / [`plan_calibrated_with`] — capture the campaign in a
-//!   small [`Manifest`] (cell counts, fingerprint digests, cost
-//!   weights, replicates, shard count). The partition is the manifest's
-//!   [`chunk_map`]: cost-weighted chunks of the index space, each with
-//!   a deterministic initial shard. Any worker holding the manifest
-//!   computes the identical map, so there is no coordinator.
+//! * [`plan()`] — captures the campaign in a small [`Manifest`] (cell
+//!   counts, fingerprint digests, replicates, shard count). The
+//!   partition is the manifest's [`chunk_map`]: chunks of the index
+//!   space cut by cell count, each with a deterministic initial shard.
+//!   Any worker holding the manifest computes the identical map, so
+//!   there is no coordinator.
 //! * [`run_shard`] / [`run_shard_with`] — the worker mode: checks for
 //!   registry drift, then runs the chunks of shard `i/N`'s initial
 //!   lease (thread-fanned inside the process) against its own
@@ -46,7 +46,7 @@
 //!
 //! // Plan 2 shards of a 3-replicate campaign, run each shard against
 //! // its own store, merge, check coverage, fold the replicates.
-//! let manifest = dist::plan_calibrated_with(&registry, &select, &[], 42, 2, 3, None).unwrap();
+//! let manifest = dist::plan(&registry, &select, &[], 42, 2, 3).unwrap();
 //! let mut shard_stores = Vec::new();
 //! for index in 0..manifest.shards {
 //!     let mut store = ResultStore::new();
@@ -81,9 +81,7 @@ pub use merge::{
     fold_replicates, merge_stores, merge_stores_observed, merge_stores_owned_observed,
     steal_report, MergeStats, StealReport,
 };
-pub use plan::{
-    calibrate_weights_wall, plan, plan_calibrated_with, CorpusPlan, Manifest, ScenarioPlan,
-};
+pub use plan::{plan, CorpusPlan, Manifest, ScenarioPlan};
 pub use steal::{chunk_map, run_shard_stealing, Chunk, LeaseDir, StealStats};
 
 use crate::exec::{run_campaign_with, Campaign, CellDomain, ExecHooks};
@@ -166,7 +164,7 @@ mod tests {
     #[test]
     fn run_shard_rejects_out_of_range_index() {
         let registry = Registry::builtin();
-        let manifest = plan(&registry, &["pipeline-domino".into()], &[], 0, 2).unwrap();
+        let manifest = plan(&registry, &["pipeline-domino".into()], &[], 0, 2, 1).unwrap();
         let err = run_shard(&registry, &manifest, 2, 1, &mut ResultStore::new()).unwrap_err();
         assert_eq!(
             err,
@@ -177,7 +175,7 @@ mod tests {
     #[test]
     fn run_shard_detects_registry_drift() {
         let registry = Registry::builtin();
-        let mut manifest = plan(&registry, &["pipeline-domino".into()], &[], 0, 2).unwrap();
+        let mut manifest = plan(&registry, &["pipeline-domino".into()], &[], 0, 2, 1).unwrap();
         manifest.cells -= 1;
         let err = run_shard(&registry, &manifest, 0, 1, &mut ResultStore::new()).unwrap_err();
         assert!(matches!(err, ScenarioError::Dist(ref m) if m.contains("drift")));

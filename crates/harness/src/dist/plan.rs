@@ -15,10 +15,7 @@
 //! Planning is *streaming*: cells are decoded one at a time from the
 //! campaign's [`CampaignSpace`] and folded into counts and digests — a
 //! plan over a multi-million-cell gen sweep never materializes a cell
-//! list. The manifest also carries per-scenario *cost weights* — unit,
-//! or with `--calibrate` the measured mean cell durations from a prior
-//! campaign's telemetry sidecar — which size the chunks and balance the
-//! initial leases; weights never affect results.
+//! list.
 
 use crate::exec::ExecConfig;
 use crate::json::Json;
@@ -26,7 +23,6 @@ use crate::matrix::Filter;
 use crate::registry::Registry;
 use crate::scenario::ScenarioError;
 use crate::space::{CampaignSpace, Cell};
-use crate::telemetry::{telemetry_path, Telemetry};
 use std::path::Path;
 
 /// Bump when the manifest layout or the shard assignment rule changes;
@@ -39,8 +35,10 @@ use std::path::Path;
 /// 4 — the replicate multiplier (`--replicates N` enters the planned
 /// index space, so every worker expands the same replicated matrix);
 /// 5 — the chunk map is the only shard partition: a static shard runs
-/// its initial-lease chunks instead of a fingerprint-hash slice.
-pub const MANIFEST_SCHEMA: u32 = 5;
+/// its initial-lease chunks instead of a fingerprint-hash slice;
+/// 6 — no cost weights: chunks are cut and leased by cell count, so a
+/// calibrated schema-5 manifest would be cut differently.
+pub const MANIFEST_SCHEMA: u32 = 6;
 
 /// One scenario's slice of the plan: enough to attribute drift to a
 /// scenario by name instead of reporting bare campaign-level numbers.
@@ -52,9 +50,6 @@ pub struct ScenarioPlan {
     pub cells: usize,
     /// Digest of this scenario's planned fingerprints, in plan order.
     pub digest: String,
-    /// Relative per-cell cost weight (1.0 = baseline). Sizes the chunks
-    /// and balances the initial leases, never affects results.
-    pub weight: f64,
 }
 
 /// The generated-program corpus the campaign was planned over, when any
@@ -96,8 +91,8 @@ pub struct Manifest {
     /// rename leaves the cell count intact but changes every
     /// fingerprint — and therefore the planned cell set).
     pub digest: String,
-    /// Per-scenario counts, digests and cost weights, in campaign
-    /// order; lets drift errors name the scenarios that moved.
+    /// Per-scenario counts and digests, in campaign order; lets drift
+    /// errors name the scenarios that moved.
     pub per_scenario: Vec<ScenarioPlan>,
     /// The generated-program corpus identity, when the planning
     /// registry carried one and a selected scenario sweeps it.
@@ -141,15 +136,6 @@ impl Manifest {
     /// Parses the stored filter clauses.
     pub fn parsed_filter(&self) -> Result<Filter, ScenarioError> {
         Filter::parse(&self.filter).map_err(ScenarioError::Dist)
-    }
-
-    /// This scenario's per-cell cost weight (1.0 when the manifest does
-    /// not name it).
-    pub fn weight_of(&self, scenario_id: &str) -> f64 {
-        self.per_scenario
-            .iter()
-            .find(|s| s.id == scenario_id)
-            .map_or(1.0, |s| s.weight)
     }
 
     /// The executor configuration every shard runs this manifest's cells
@@ -206,7 +192,6 @@ impl Manifest {
                                 ("id".into(), Json::str(&s.id)),
                                 ("cells".into(), Json::Num(s.cells as f64)),
                                 ("digest".into(), Json::str(&s.digest)),
-                                ("weight".into(), Json::Num(s.weight)),
                             ])
                         })
                         .collect(),
@@ -300,11 +285,6 @@ impl Manifest {
                         .and_then(Json::as_str)
                         .ok_or_else(|| bad("per_scenario digest"))?
                         .to_string(),
-                    weight: entry
-                        .get("weight")
-                        .and_then(Json::as_f64)
-                        .filter(|w| w.is_finite() && *w > 0.0)
-                        .ok_or_else(|| bad("per_scenario weight"))?,
                 })
             })
             .collect::<Result<Vec<_>, ScenarioError>>()?;
@@ -382,61 +362,18 @@ fn tally(space: &CampaignSpace<'_>, observe: &mut dyn FnMut(Cell)) -> Tally {
     tally
 }
 
-/// Per-scenario cost weights from *measured* wall-clock telemetry: each
-/// covered scenario's weight is its mean recorded cell duration,
-/// normalized so the cheapest covered scenario weighs 1.0; scenarios
-/// the sidecar never timed weigh 1.0. Returns `None` when the telemetry
-/// covers none of the selection.
-pub fn calibrate_weights_wall(
-    telemetry: &crate::telemetry::Telemetry,
-    scenario_ids: &[String],
-) -> Option<Vec<f64>> {
-    let means: Vec<Option<f64>> = scenario_ids
-        .iter()
-        .map(|id| telemetry.scenario_wall_mean_ns(id).filter(|m| *m > 0.0))
-        .collect();
-    let floor = means
-        .iter()
-        .flatten()
-        .copied()
-        .fold(f64::INFINITY, f64::min);
-    floor.is_finite().then(|| {
-        means
-            .into_iter()
-            .map(|m| m.map_or(1.0, |m| m / floor))
-            .collect()
-    })
-}
-
-/// Plans a campaign for `shards` shards: validates selection, filter
-/// and shard count exactly like a run would, then records the resolved
-/// scenario ids, matched cell count and fingerprint digest in a
-/// [`Manifest`]. Unit cost weights; see [`plan_calibrated_with`].
+/// Plans a campaign of `replicates` replicates per base cell for
+/// `shards` shards: validates selection, filter and shard count exactly
+/// like a run would, then records the resolved scenario ids, matched
+/// cell counts and fingerprint digests in a [`Manifest`]. One streaming
+/// pass, no materialized cells.
 pub fn plan(
     registry: &Registry,
     select: &[String],
     filter_clauses: &[String],
     seed: u64,
     shards: u32,
-) -> Result<Manifest, ScenarioError> {
-    plan_calibrated_with(registry, select, filter_clauses, seed, shards, 1, None)
-}
-
-/// [`plan`] over a replicated matrix, with optional cost calibration:
-/// `calibrate` names a store whose telemetry sidecar times the selected
-/// scenarios, and the weights become their measured mean cell
-/// durations ([`calibrate_weights_wall`]). A missing sidecar, or one
-/// that times none of the selected scenarios, is an error naming the
-/// sidecar — never a silent fall back to unit weights. One streaming
-/// pass, no materialized cells.
-pub fn plan_calibrated_with(
-    registry: &Registry,
-    select: &[String],
-    filter_clauses: &[String],
-    seed: u64,
-    shards: u32,
     replicates: u32,
-    calibrate: Option<&Path>,
 ) -> Result<Manifest, ScenarioError> {
     if shards == 0 {
         return Err(ScenarioError::Dist("shard count must be >= 1".into()));
@@ -457,27 +394,6 @@ pub fn plan_calibrated_with(
             })
     });
     let ids: Vec<String> = specs.iter().map(|s| s.id.to_string()).collect();
-    let weights = match calibrate {
-        Some(store) => {
-            let sidecar = telemetry_path(store);
-            if !sidecar.exists() {
-                return Err(ScenarioError::Dist(format!(
-                    "--calibrate: no telemetry sidecar at {} — run the calibration campaign \
-                     with --telemetry",
-                    sidecar.display()
-                )));
-            }
-            calibrate_weights_wall(&Telemetry::load(&sidecar)?, &ids).ok_or_else(|| {
-                ScenarioError::Dist(format!(
-                    "--calibrate: telemetry sidecar {} times none of the selected scenarios ({})",
-                    sidecar.display(),
-                    ids.join(", ")
-                ))
-            })?
-        }
-        None => vec![1.0; ids.len()],
-    };
-
     let tally = tally(&space, &mut |_| {});
     Ok(Manifest {
         seed,
@@ -490,12 +406,10 @@ pub fn plan_calibrated_with(
         per_scenario: ids
             .into_iter()
             .zip(tally.per_scenario)
-            .zip(weights)
-            .map(|((id, (count, digest)), weight)| ScenarioPlan {
+            .map(|(id, (count, digest))| ScenarioPlan {
                 id,
                 cells: count,
                 digest: digest.finish(),
-                weight,
             })
             .collect(),
         corpus,
@@ -542,8 +456,7 @@ pub fn check_drift_observing(
         }
     }
     let tally = tally(&manifest.space(registry)?, observe);
-    // Name the scenarios whose slice moved (weights are advisory and
-    // deliberately not part of the drift comparison).
+    // Name the scenarios whose slice moved.
     let drifted: Vec<String> = manifest
         .per_scenario
         .iter()
@@ -600,38 +513,37 @@ mod tests {
 
     #[test]
     fn plan_counts_cells_and_resolves_ids() {
-        let m = plan(&registry(), &domino_select(), &[], 42, 3).unwrap();
+        let m = plan(&registry(), &domino_select(), &[], 42, 3, 1).unwrap();
         assert_eq!(m.shards, 3);
         assert_eq!(m.scenarios, domino_select());
         assert!(m.cells > 0);
         assert_eq!(m.space(&registry()).unwrap().cells().count(), m.cells);
-        assert!(m.per_scenario.iter().all(|s| s.weight == 1.0));
     }
 
     #[test]
     fn plan_rejects_bad_inputs() {
         let r = registry();
         assert!(matches!(
-            plan(&r, &["nope".into()], &[], 0, 2),
+            plan(&r, &["nope".into()], &[], 0, 2, 1),
             Err(ScenarioError::UnknownScenario(_))
         ));
         assert!(matches!(
-            plan(&r, &domino_select(), &["notanaxis=1".into()], 0, 2),
+            plan(&r, &domino_select(), &["notanaxis=1".into()], 0, 2, 1),
             Err(ScenarioError::UnknownFilterAxis(_))
         ));
         assert!(matches!(
-            plan(&r, &domino_select(), &["garbage".into()], 0, 2),
+            plan(&r, &domino_select(), &["garbage".into()], 0, 2, 1),
             Err(ScenarioError::Dist(_))
         ));
         assert!(matches!(
-            plan(&r, &domino_select(), &[], 0, 0),
+            plan(&r, &domino_select(), &[], 0, 0, 1),
             Err(ScenarioError::Dist(_))
         ));
     }
 
     #[test]
     fn manifest_json_round_trips_and_rejects_other_schema() {
-        let m = plan(&registry(), &domino_select(), &["n=16".into()], 7, 2).unwrap();
+        let m = plan(&registry(), &domino_select(), &["n=16".into()], 7, 2, 1).unwrap();
         let back = Manifest::from_json(&Json::parse(&m.to_json().pretty()).unwrap()).unwrap();
         assert_eq!(back, m);
         let mut doc = m.to_json();
@@ -645,27 +557,28 @@ mod tests {
     }
 
     #[test]
-    fn schema_4_manifests_must_be_re_planned() {
-        // Schema 4 partitioned static shards by fingerprint hash; a
-        // worker running today's chunk-map partition over it would
-        // disagree with any schema-4 worker still running.
-        let mut doc = plan(&registry(), &domino_select(), &[], 7, 2)
-            .unwrap()
-            .to_json();
-        if let Json::Obj(members) = &mut doc {
-            members[0].1 = Json::Num(4.0);
-        }
+    fn schema_5_manifests_must_be_re_planned() {
+        // Schema 5 carried per-scenario cost weights that cut the chunk
+        // map; a calibrated schema-5 manifest would be cut differently
+        // by today's cell-count chunking than by a schema-5 worker.
+        let schema_5 = r#"{
+          "schema": 5, "seed": "7", "shards": 2, "replicates": 1, "cells": 4,
+          "digest": "5399e2d5f543164a", "scenarios": ["pipeline-domino"], "filter": [],
+          "per_scenario": [
+            {"id": "pipeline-domino", "cells": 4, "digest": "5399e2d5f543164a", "weight": 1}
+          ]
+        }"#;
         assert_eq!(
-            Manifest::from_json(&doc),
+            Manifest::from_json(&Json::parse(schema_5).unwrap()),
             Err(ScenarioError::Dist(
-                "manifest: schema 4 != supported 5 — re-plan".into()
+                "manifest: schema 5 != supported 6 — re-plan".into()
             ))
         );
     }
 
     #[test]
     fn drift_check_catches_cell_count_changes() {
-        let mut m = plan(&registry(), &domino_select(), &[], 1, 2).unwrap();
+        let mut m = plan(&registry(), &domino_select(), &[], 1, 2, 1).unwrap();
         assert!(check_drift(&registry(), &m).is_ok());
         m.cells += 1;
         assert!(matches!(
@@ -707,7 +620,7 @@ mod tests {
             r.register(Box::new(Versioned(version)));
             r
         };
-        let m = plan(&reg(1), &["versioned".into()], &[], 0, 2).unwrap();
+        let m = plan(&reg(1), &["versioned".into()], &[], 0, 2, 1).unwrap();
         assert!(check_drift(&reg(1), &m).is_ok());
         // Same cell count under v2, but every fingerprint changed: the
         // digest must catch what the count cannot.
@@ -717,13 +630,13 @@ mod tests {
 
     #[test]
     fn manifest_cells_carry_global_lazy_indices() {
-        let m = plan(&registry(), &domino_select(), &[], 3, 2).unwrap();
+        let m = plan(&registry(), &domino_select(), &[], 3, 2, 1).unwrap();
         let cells: Vec<Cell> = m.space(&registry()).unwrap().cells().collect();
         // No filter: global indices are exactly 0..n in plan order.
         let globals: Vec<usize> = cells.iter().map(|c| c.global).collect();
         assert_eq!(globals, (0..cells.len()).collect::<Vec<_>>());
         // A filter keeps indices anchored to the *unfiltered* space.
-        let m = plan(&registry(), &domino_select(), &["n=16".into()], 3, 2).unwrap();
+        let m = plan(&registry(), &domino_select(), &["n=16".into()], 3, 2, 1).unwrap();
         let filtered: Vec<Cell> = m.space(&registry()).unwrap().cells().collect();
         let full: Vec<usize> = cells
             .iter()
@@ -737,93 +650,15 @@ mod tests {
         );
     }
 
-    #[test]
-    fn calibration_normalizes_to_the_cheapest_scenario() {
-        use std::time::Duration;
-        let ids = vec![
-            "slow".to_string(),
-            "fast".to_string(),
-            "untimed".to_string(),
-        ];
-        let mut telemetry = Telemetry::new();
-        telemetry.record_fresh("aaaa", "slow", Duration::from_millis(40), 1);
-        telemetry.record_fresh("bbbb", "fast", Duration::from_millis(10), 2);
-        telemetry.record_hit("cccc", "untimed", 3);
-        let w = calibrate_weights_wall(&telemetry, &ids).unwrap();
-        assert_eq!(w, vec![4.0, 1.0, 1.0], "means normalize to the cheapest");
-        // Telemetry covering nothing selected gives no weights at all.
-        assert_eq!(
-            calibrate_weights_wall(&telemetry, &["other".to_string()]),
-            None
-        );
-        assert_eq!(calibrate_weights_wall(&Telemetry::new(), &ids), None);
-    }
-
-    #[test]
-    fn plan_calibrates_from_the_sidecar_and_errors_without_one() {
-        use std::time::Duration;
-        let dir = std::env::temp_dir().join(format!("harness-calibrate-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let store = dir.join("baseline.json");
-        let ids = domino_select();
-        let calibrated =
-            |store: &Path| plan_calibrated_with(&registry(), &ids, &[], 42, 2, 1, Some(store));
-
-        // No sidecar beside the store: an error naming the sidecar.
-        let sidecar = telemetry_path(&store);
-        let err = calibrated(&store).unwrap_err().to_string();
-        assert!(
-            err.contains(&sidecar.display().to_string()) && err.contains("no telemetry sidecar"),
-            "got: {err}"
-        );
-
-        // A sidecar timing none of the selection: the same, not unit
-        // weights.
-        let mut other = Telemetry::new();
-        other.record_fresh("aaaa", "cache-evict-fill", Duration::from_millis(1), 1);
-        other.save_compacted(&sidecar).unwrap();
-        let err = calibrated(&store).unwrap_err().to_string();
-        assert!(
-            err.contains(&sidecar.display().to_string()) && err.contains("times none"),
-            "got: {err}"
-        );
-
-        // Measured means become the weights, normalized to the cheapest.
-        let mut telemetry = Telemetry::new();
-        telemetry.record_fresh("aaaa", &ids[0], Duration::from_millis(1), 1);
-        telemetry.record_fresh("bbbb", &ids[1], Duration::from_millis(9), 2);
-        telemetry.save_compacted(&sidecar).unwrap();
-        let timed = calibrated(&store).unwrap();
-        assert_eq!(timed.per_scenario[0].weight, 1.0);
-        assert_eq!(timed.per_scenario[1].weight, 9.0);
-        // The weights reshape the chunk map: next to the measured-slow
-        // scenario, the cheap one is cut into coarser chunks than a
-        // unit-weight plan cuts it.
-        let unit = plan(&registry(), &ids, &[], 42, 2).unwrap();
-        let chunks_of = |m: &Manifest, scenario: usize| {
-            crate::dist::chunk_map(&registry(), m)
-                .unwrap()
-                .iter()
-                .filter(|c| c.scenario == scenario)
-                .count()
-        };
-        assert!(
-            chunks_of(&timed, 0) < chunks_of(&unit, 0),
-            "the measured-cheap scenario must be cut coarser"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     fn plan_reps(reps: u32, shards: u32, seed: u64) -> Manifest {
-        plan_calibrated_with(&registry(), &domino_select(), &[], seed, shards, reps, None).unwrap()
+        plan(&registry(), &domino_select(), &[], seed, shards, reps).unwrap()
     }
 
     #[test]
     fn replicated_manifest_round_trips_and_requires_the_field() {
         let m = plan_reps(16, 3, 9);
         assert_eq!(m.replicates, 16);
-        let base = plan(&registry(), &domino_select(), &[], 9, 3).unwrap();
+        let base = plan(&registry(), &domino_select(), &[], 9, 3, 1).unwrap();
         assert_eq!(m.cells, base.cells * 16, "replicates multiply the matrix");
         let back = Manifest::from_json(&Json::parse(&m.to_json().pretty()).unwrap()).unwrap();
         assert_eq!(back, m);

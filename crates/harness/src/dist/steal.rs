@@ -2,16 +2,14 @@
 //! between shard processes.
 //!
 //! * The campaign's global lazy index space is cut into [`Chunk`]s —
-//!   contiguous cell ranges that never span scenarios, sized so each
-//!   chunk carries roughly equal *cost* under the manifest's
-//!   per-scenario weights (unit, or calibrated at plan time from a
-//!   telemetry sidecar). Every shard derives the identical chunk map
-//!   from the manifest alone; there is no coordinator.
+//!   contiguous cell ranges of roughly equal cell count that never span
+//!   scenarios. Every shard derives the identical chunk map from the
+//!   manifest alone; there is no coordinator.
 //! * Each chunk has a deterministic `initial_shard` (greedy
-//!   least-loaded assignment in chunk order): the shard partition. A
-//!   static shard ([`crate::dist::run_shard_with`]) runs the chunks of
-//!   its initial lease and stops; it needs no lease files, because no
-//!   chunk is contested.
+//!   least-loaded assignment by cell count in chunk order): the shard
+//!   partition. A static shard ([`crate::dist::run_shard_with`]) runs
+//!   the chunks of its initial lease and stops; it needs no lease
+//!   files, because no chunk is contested.
 //! * A stealing shard ([`run_shard_stealing`]) claims its own chunks
 //!   one at a time, then sweeps the other shards' chunks and steals
 //!   whatever is still unleased, so one slow shard no longer sets the
@@ -43,7 +41,7 @@ pub const CHUNKS_PER_SHARD: usize = 8;
 
 /// One leasable unit of campaign work: a contiguous range of the
 /// global lazy index space, never spanning scenarios.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Chunk {
     /// Lease id (position in the deterministic chunk map).
     pub id: usize,
@@ -52,63 +50,45 @@ pub struct Chunk {
     /// Global lazy index range (includes filtered-out cells; the
     /// executor skips those while scanning).
     pub range: Range<usize>,
-    /// Estimated cost: lazy cells × the scenario's manifest weight.
-    pub cost: f64,
     /// The shard this chunk is initially leased to.
     pub initial_shard: u32,
 }
 
-/// Deterministically cuts the manifest's campaign into cost-balanced
-/// chunks and assigns each an initial shard. Every worker holding the
-/// manifest computes the identical map — chunk ids are the whole
-/// coordination vocabulary.
+/// Deterministically cuts the manifest's campaign into chunks of about
+/// `cells / (shards × CHUNKS_PER_SHARD)` lazy cells (at least one) and
+/// assigns each an initial shard. Every worker holding the manifest
+/// computes the identical map — chunk ids are the whole coordination
+/// vocabulary.
 pub fn chunk_map(registry: &Registry, manifest: &Manifest) -> Result<Vec<Chunk>, ScenarioError> {
     // The space's scenario ranges already carry the replicate
     // multiplier, so chunk sizes (and therefore the initial lease
     // balance) account for the full replicated cell load.
     let space = manifest.space(registry)?;
-    let weights: Vec<f64> = space
-        .specs()
-        .iter()
-        .map(|s| manifest.weight_of(s.id))
-        .collect();
-    let total_cost: f64 = space
-        .ranges()
-        .zip(&weights)
-        .map(|(range, w)| range.len() as f64 * w)
-        .sum();
+    let total: usize = space.ranges().map(|range| range.len()).sum();
     let target = (manifest.shards as usize * CHUNKS_PER_SHARD).max(1);
-    let cost_per_chunk = (total_cost / target as f64).max(f64::MIN_POSITIVE);
+    // `total / target`, rounded half up.
+    let cells_per_chunk = ((total + target / 2) / target).max(1);
 
     let mut chunks = Vec::new();
-    for (scenario, (range, weight)) in space.ranges().zip(&weights).enumerate() {
-        let cells_per_chunk = ((cost_per_chunk / weight).round() as usize).max(1);
+    for (scenario, range) in space.ranges().enumerate() {
         for start in range.clone().step_by(cells_per_chunk) {
-            let end = (start + cells_per_chunk).min(range.end);
             chunks.push(Chunk {
                 id: chunks.len(),
                 scenario,
-                range: start..end,
-                cost: (end - start) as f64 * weight,
+                range: start..(start + cells_per_chunk).min(range.end),
                 initial_shard: 0,
             });
         }
     }
-    // Initial lease: greedy least-loaded in chunk order — deterministic
-    // and cost-balanced under the manifest's weights. No chunk costs
-    // less than 0 and ties go to the lowest index, so chunk `i` never
-    // lands above shard `i`: sizing the loads by the chunk count gives
-    // the same assignment without a per-shard allocation.
-    let mut load = vec![0.0f64; (manifest.shards as usize).min(chunks.len())];
+    // Initial lease: greedy least-loaded by cell count in chunk order.
+    // Ties go to the lowest index, so chunk `i` never lands above shard
+    // `i`: sizing the loads by the chunk count gives the same assignment
+    // without a per-shard allocation.
+    let mut load = vec![0usize; (manifest.shards as usize).min(chunks.len())];
     for chunk in &mut chunks {
-        let shard = load
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.total_cmp(b))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
+        let shard = (0..load.len()).min_by_key(|&i| load[i]).unwrap_or(0);
         chunk.initial_shard = shard as u32;
-        load[shard] += chunk.cost;
+        load[shard] += chunk.range.len();
     }
     Ok(chunks)
 }
@@ -464,7 +444,7 @@ mod tests {
     #[test]
     fn chunk_map_is_deterministic_disjoint_and_covering() {
         let registry = Registry::builtin();
-        let manifest = dist::plan(&registry, &select(), &[], 42, 3).unwrap();
+        let manifest = dist::plan(&registry, &select(), &[], 42, 3, 1).unwrap();
         let chunks = chunk_map(&registry, &manifest).unwrap();
         assert_eq!(chunks, chunk_map(&registry, &manifest).unwrap());
         // Contiguous cover of the lazy space, ids in range order.
@@ -490,7 +470,7 @@ mod tests {
         // shard per chunk (shards above that get an empty lease), and
         // cutting it allocates nothing per shard.
         let registry = Registry::builtin();
-        let mut manifest = dist::plan(&registry, &select(), &[], 42, u32::MAX).unwrap();
+        let mut manifest = dist::plan(&registry, &select(), &[], 42, u32::MAX, 1).unwrap();
         let huge = chunk_map(&registry, &manifest).unwrap();
         assert_eq!(huge.len(), 8, "one chunk per lazy cell");
         manifest.shards = huge.len() as u32;
@@ -499,33 +479,54 @@ mod tests {
     }
 
     #[test]
-    fn weights_shift_the_initial_lease_balance() {
-        // The full registry (~100 cells) gives the chunker room to
-        // react to weights; `select()`'s 8 cells would not.
-        let registry = Registry::builtin();
-        let mut manifest = dist::plan(&registry, &[], &[], 42, 2).unwrap();
-        let even = chunk_map(&registry, &manifest).unwrap();
-        // Make the first scenario's cells 50× costlier: its chunks
-        // shrink (more stealable pieces) and the greedy lease
-        // rebalances.
-        manifest.per_scenario[0].weight = 50.0;
-        let skewed = chunk_map(&registry, &manifest).unwrap();
-        let first_chunks = |chunks: &[Chunk]| chunks.iter().filter(|c| c.scenario == 0).count();
-        assert!(
-            first_chunks(&skewed) > first_chunks(&even),
-            "a costlier scenario must be cut into more chunks"
-        );
-        let lease_cost = |chunks: &[Chunk], shard: u32| -> f64 {
-            chunks
+    fn cell_count_chunking_keeps_the_unit_weight_partition() {
+        // `id:scenario:start..end@initial_shard` of every chunk, as the
+        // schema-5 planner cut unit-weight manifests: static shards,
+        // stealing shards and merged stores of every plan made without
+        // calibration stay byte-identical across the schema bump.
+        let render = |registry: &Registry, select: &[String], shards: u32| {
+            let manifest = dist::plan(registry, select, &[], 42, shards, 1).unwrap();
+            let chunks = chunk_map(registry, &manifest).unwrap();
+            let rendered: Vec<String> = chunks
                 .iter()
-                .filter(|c| c.initial_shard == shard)
-                .map(|c| c.cost)
-                .sum()
+                .map(|c| {
+                    let (id, s, r) = (c.id, c.scenario, &c.range);
+                    format!("{id}:{s}:{}..{}@{}", r.start, r.end, c.initial_shard)
+                })
+                .collect();
+            rendered.join(" ")
         };
-        let (a, b) = (lease_cost(&skewed, 0), lease_cost(&skewed, 1));
-        assert!(
-            (a - b).abs() / (a + b) < 0.35,
-            "greedy lease must stay cost-balanced: {a} vs {b}"
+        let registry = Registry::builtin();
+        assert_eq!(
+            render(&registry, &[], 2),
+            "0:0:0..6@0 1:0:6..8@1 2:1:8..14@1 3:2:14..18@0 4:3:18..22@1 \
+             5:4:22..28@0 6:5:28..34@1 7:5:34..36@0 8:6:36..40@0 9:7:40..46@1 \
+             10:8:46..48@0 11:9:48..54@0 12:10:54..60@1 13:10:60..66@0 \
+             14:10:66..70@1 15:11:70..76@1 16:11:76..82@0 17:11:82..86@1 \
+             18:12:86..92@0 19:12:92..98@1 20:12:98..102@0"
+        );
+        assert_eq!(
+            render(&registry, &[], 3),
+            "0:0:0..4@0 1:0:4..8@1 2:1:8..12@2 3:1:12..14@0 4:2:14..18@1 \
+             5:3:18..22@2 6:4:22..26@0 7:4:26..28@1 8:5:28..32@2 9:5:32..36@0 \
+             10:6:36..40@1 11:7:40..44@2 12:7:44..46@0 13:8:46..48@1 14:9:48..52@0 \
+             15:9:52..54@1 16:10:54..58@2 17:10:58..62@1 18:10:62..66@0 \
+             19:10:66..70@2 20:11:70..74@1 21:11:74..78@0 22:11:78..82@2 \
+             23:11:82..86@1 24:12:86..90@0 25:12:90..94@2 26:12:94..98@1 \
+             27:12:98..102@0"
+        );
+        let corpus_64 = Registry::builtin_with(&crate::gen::GenOptions {
+            corpus_size: 64,
+            corpus_seed: 42,
+        });
+        let gen = ["gen/pipeline", "gen/cache", "gen/wcet"].map(String::from);
+        assert_eq!(
+            render(&corpus_64, &gen, 2),
+            "0:0:0..96@0 1:0:96..192@1 2:0:192..288@0 3:0:288..384@1 4:0:384..480@0 \
+             5:0:480..512@1 6:1:512..608@1 7:1:608..704@0 8:1:704..800@1 \
+             9:1:800..896@0 10:1:896..992@1 11:1:992..1024@0 12:2:1024..1120@0 \
+             13:2:1120..1216@1 14:2:1216..1312@0 15:2:1312..1408@1 \
+             16:2:1408..1504@0 17:2:1504..1536@1"
         );
     }
 
@@ -544,13 +545,13 @@ mod tests {
     fn lease_dir_rejects_a_different_campaign() {
         let registry = Registry::builtin();
         let dir = tempdir("identity");
-        let manifest = dist::plan(&registry, &select(), &[], 42, 2).unwrap();
+        let manifest = dist::plan(&registry, &select(), &[], 42, 2, 1).unwrap();
         LeaseDir::open(&dir, &manifest).unwrap();
         // Same campaign re-opens fine (concurrent shards do this).
         LeaseDir::open(&dir, &manifest).unwrap();
         // A re-planned campaign (different seed → different digest)
         // must be refused instead of silently starving on stale leases.
-        let replanned = dist::plan(&registry, &select(), &[], 43, 2).unwrap();
+        let replanned = dist::plan(&registry, &select(), &[], 43, 2, 1).unwrap();
         let err = LeaseDir::open(&dir, &replanned).unwrap_err();
         assert!(
             matches!(err, ScenarioError::Dist(ref m) if m.contains("remove the directory")),
@@ -573,7 +574,7 @@ mod tests {
         // With no competitors, shard 0 steals every other lease and the
         // merged (single) store equals the single-process store.
         let registry = Registry::builtin();
-        let manifest = dist::plan(&registry, &select(), &[], 42, 3).unwrap();
+        let manifest = dist::plan(&registry, &select(), &[], 42, 3, 1).unwrap();
         let dir = tempdir("lone");
         let leases = LeaseDir::open(&dir, &manifest).unwrap();
         let mut store = ResultStore::new();
@@ -636,7 +637,7 @@ mod tests {
         // All three shards run in-process, sequentially; later shards
         // find earlier leases taken, so claims partition the chunk set.
         let registry = Registry::builtin();
-        let manifest = dist::plan(&registry, &select(), &[], 9, 3).unwrap();
+        let manifest = dist::plan(&registry, &select(), &[], 9, 3, 1).unwrap();
         let dir = tempdir("competing");
         let leases = LeaseDir::open(&dir, &manifest).unwrap();
         let mut stores = Vec::new();
@@ -680,7 +681,7 @@ mod tests {
     #[test]
     fn chunk_map_scales_with_the_replicate_multiplier() {
         let registry = Registry::builtin();
-        let base = dist::plan(&registry, &select(), &[], 42, 3).unwrap();
+        let base = dist::plan(&registry, &select(), &[], 42, 3, 1).unwrap();
         let mut replicated = base.clone();
         replicated.replicates = 16;
         replicated.cells = base.cells * 16;

@@ -67,15 +67,14 @@
 //!   fsync-batched event log beside the store (`store.json.telemetry`)
 //!   recording per-cell measured durations and last-hit access
 //!   timestamps from each [`exec::CellEvent`] — keeping time out
-//!   of the byte-deterministic store while feeding measured cost
-//!   calibration (`plan --calibrate`), steal-aware merge reports
-//!   (`merge --report`) and age-based GC (`gc --max-age-days`).
+//!   of the byte-deterministic store while feeding steal-aware merge
+//!   reports (`merge --report`) and age-based GC (`gc --max-age-days`).
 //! * [`report`] — campaign serialization (JSON/CSV) and the Table-1/2
 //!   style evidence summary joining results against
 //!   `predictability_core::catalog`; driven by the `campaign` CLI
 //!   (`cargo run -p harness --bin campaign`).
 //! * [`dist`] — the distributed layer: a deterministic *streaming*
-//!   shard planner and manifest (per-scenario cost weights included), a
+//!   shard planner and manifest (chunks cut by cell count), a
 //!   one-shard-per-process worker mode, dynamic work stealing between
 //!   shard processes over lease files ([`dist::steal`]), a merge
 //!   engine that fuses shard stores into the byte-identical

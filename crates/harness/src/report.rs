@@ -338,31 +338,22 @@ pub fn plan_summary(manifest: &Manifest, chunks: &[Chunk]) -> String {
         manifest.seed,
         manifest.scenarios.join(", ")
     );
-    // shard -> (chunks, lazy cells, cost) of its initial lease.
-    let mut leases: BTreeMap<u32, (usize, usize, f64)> = BTreeMap::new();
+    // shard -> (chunks, lazy cells) of its initial lease.
+    let mut leases: BTreeMap<u32, (usize, usize)> = BTreeMap::new();
     for chunk in chunks {
         let lease = leases.entry(chunk.initial_shard).or_default();
         lease.0 += 1;
         lease.1 += chunk.range.len();
-        lease.2 += chunk.cost;
     }
-    for (shard, (chunks, cells, cost)) in &leases {
+    for (shard, (chunks, cells)) in &leases {
         let _ = writeln!(
             out,
-            "  shard {shard}: lease {chunks} chunks / {cells} cells, cost {cost:.2}"
+            "  shard {shard}: lease {chunks} chunks / {cells} cells"
         );
     }
     let empty = u64::from(manifest.shards) - leases.len() as u64;
     if empty > 0 {
         let _ = writeln!(out, "  {empty} shards with an empty lease");
-    }
-    if manifest.per_scenario.iter().any(|s| s.weight != 1.0) {
-        let weights: Vec<String> = manifest
-            .per_scenario
-            .iter()
-            .map(|s| format!("{}={:.2}", s.id, s.weight))
-            .collect();
-        let _ = writeln!(out, "  cost weights: {}", weights.join(" "));
     }
     out
 }
@@ -650,21 +641,22 @@ mod tests {
         let registry = Registry::builtin();
         let plan = |shards| {
             let manifest =
-                crate::dist::plan(&registry, &["pipeline-domino".into()], &[], 1, shards).unwrap();
+                crate::dist::plan(&registry, &["pipeline-domino".into()], &[], 1, shards, 1)
+                    .unwrap();
             let chunks = crate::dist::chunk_map(&registry, &manifest).unwrap();
             plan_summary(&manifest, &chunks)
         };
-        // pipeline-domino has 4 unit-cost cells: 3 shards lease 2+1+1.
+        // pipeline-domino has 4 cells: 3 shards lease 2+1+1.
         let s = plan(3);
         assert!(s.contains("planned 4 cells over 3 shards"), "got: {s}");
-        assert!(s.contains("  shard 0: lease 2 chunks / 2 cells, cost 2.00\n"));
+        assert!(
+            s.contains("  shard 0: lease 2 chunks / 2 cells\n"),
+            "got: {s}"
+        );
         for shard in 1..3 {
-            assert!(s.contains(&format!(
-                "  shard {shard}: lease 1 chunks / 1 cells, cost 1.00\n"
-            )));
+            assert!(s.contains(&format!("  shard {shard}: lease 1 chunks / 1 cells\n")));
         }
         assert!(!s.contains("empty lease"), "got: {s}");
-        assert!(!s.contains("cost weights"), "unit weights stay silent");
         // More shards than chunks: only the leased shards are listed.
         let s = plan(u32::MAX);
         assert_eq!(s.lines().filter(|l| l.starts_with("  shard ")).count(), 4);
@@ -704,6 +696,7 @@ mod tests {
             &[],
             42,
             2,
+            1,
         )
         .unwrap();
         let dir = std::env::temp_dir().join(format!("harness-stealsum-{}", std::process::id()));

@@ -19,11 +19,8 @@
 //! durations from a clock step; replay clamps those values to zero
 //! instead of treating the line as corruption.
 //!
-//! Three consumers read the sidecar back:
+//! Two consumers read the sidecar back:
 //!
-//! * `campaign plan --calibrate STORE` derives per-scenario cost
-//!   weights from the *measured* mean cell duration in STORE's sidecar
-//!   ([`crate::dist::plan::calibrate_weights_wall`]);
 //! * `campaign merge --report` joins per-shard sidecars with the
 //!   work-stealing lease files into a realized wall-clock balance
 //!   report ([`crate::dist::merge::steal_report`]);
@@ -32,7 +29,7 @@
 //!   byte-deterministic store itself can never carry.
 //!
 //! Telemetry is advisory everywhere: deleting the sidecar loses
-//! calibration and age data, never results, and a campaign run with
+//! balance and age data, never results, and a campaign run with
 //! telemetry enabled writes a store byte-identical to one without.
 
 use crate::json::Json;
@@ -65,8 +62,8 @@ pub fn now_ms() -> u64 {
 /// One cell's aggregated telemetry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryEntry {
-    /// Scenario id (recorded per line so consumers can aggregate by
-    /// scenario without joining against the store).
+    /// Scenario id (recorded on every line, so a sidecar names its
+    /// cells' scenarios without joining against the store).
     pub scenario: String,
     /// Fresh executions recorded.
     pub runs: u64,
@@ -158,17 +155,6 @@ impl Telemetry {
     /// Total measured wall-clock nanoseconds across every cell.
     pub fn total_wall_ns(&self) -> f64 {
         self.entries.values().map(|e| e.wall_ns).sum()
-    }
-
-    /// The mean measured wall-clock nanoseconds per fresh execution of
-    /// one scenario's cells; `None` when no execution was recorded.
-    pub fn scenario_wall_mean_ns(&self, scenario: &str) -> Option<f64> {
-        let (runs, wall_ns) = self
-            .entries
-            .values()
-            .filter(|e| e.scenario == scenario)
-            .fold((0u64, 0.0f64), |(r, w), e| (r + e.runs, w + e.wall_ns));
-        (runs > 0).then(|| wall_ns / runs as f64)
     }
 
     /// Loads and aggregates a sidecar; a missing file is an empty
@@ -340,16 +326,9 @@ mod tests {
         assert_eq!(t.len(), 4);
         assert_eq!(t.last_hit_ms("aaaa"), Some(25));
         assert_eq!(t.get("aaaa").unwrap().runs, 1);
+        assert_eq!(t.get("cccc").unwrap().scenario, "s2");
         assert_eq!(t.executed_cells(), 3);
         assert_eq!(t.total_wall_ns(), 450.0);
-        assert_eq!(t.scenario_wall_mean_ns("s1"), Some(200.0));
-        assert_eq!(t.scenario_wall_mean_ns("s2"), Some(50.0));
-        assert_eq!(t.scenario_wall_mean_ns("absent"), None);
-        // A hit-only cell contributes no mean (dddd alone would divide
-        // by zero runs).
-        let mut hits_only = Telemetry::new();
-        hits_only.record_hit("dddd", "s3", 7);
-        assert_eq!(hits_only.scenario_wall_mean_ns("s3"), None);
     }
 
     #[test]

@@ -83,7 +83,7 @@ fn shards_are_disjoint_covering_and_stable() {
     for select in matrices {
         let select: Vec<String> = select.iter().map(|s| s.to_string()).collect();
         for shards in [1u32, 2, 3, 5, 16] {
-            let manifest = dist::plan(&registry, &select, &[], 9, shards).unwrap();
+            let manifest = dist::plan(&registry, &select, &[], 9, shards, 1).unwrap();
             let planned: BTreeSet<String> = manifest
                 .space(&registry)
                 .unwrap()
@@ -115,7 +115,7 @@ fn shards_are_disjoint_covering_and_stable() {
 
             // Stable: re-planning yields the identical manifest bytes,
             // and so the identical chunk map.
-            let again = dist::plan(&registry, &select, &[], 9, shards).unwrap();
+            let again = dist::plan(&registry, &select, &[], 9, shards, 1).unwrap();
             assert_eq!(
                 again.to_json().pretty(),
                 manifest.to_json().pretty(),
@@ -133,7 +133,7 @@ fn golden_shard_equivalence() {
     let registry = Registry::builtin();
     let single = single_process_store(42);
     for shards in [2u32, 3] {
-        let manifest = dist::plan(&registry, &select(), &[], 42, shards).unwrap();
+        let manifest = dist::plan(&registry, &select(), &[], 42, shards, 1).unwrap();
         let mut shard_stores = Vec::new();
         for index in 0..shards {
             let mut store = ResultStore::new();
@@ -466,7 +466,7 @@ fn cli_plan_over_more_shards_than_chunks_lists_only_leased_shards() {
 fn cli_merge_rejects_conflicting_shards() {
     let dir = TempDir::new("conflict");
     let registry = Registry::builtin();
-    let manifest = dist::plan(&registry, &select(), &[], 42, 2).unwrap();
+    let manifest = dist::plan(&registry, &select(), &[], 42, 2, 1).unwrap();
     let mut a = ResultStore::new();
     dist::run_shard(&registry, &manifest, 0, 2, &mut a).unwrap();
     // Same fingerprints, one conflicting result: rebuild the store

@@ -109,7 +109,7 @@ fn gen_shard_equivalence_is_byte_identical() {
     )
     .unwrap();
 
-    let manifest = dist::plan(&registry, &gen_select(), &[], SEED, 2).unwrap();
+    let manifest = dist::plan(&registry, &gen_select(), &[], SEED, 2, 1).unwrap();
     assert!(
         manifest.corpus.is_some(),
         "gen campaigns must record the corpus identity"
@@ -167,7 +167,7 @@ fn gen_cells_report_template_ratio() {
 #[test]
 fn corpus_drift_is_detected_and_named() {
     let registry = gen_registry();
-    let mut manifest = dist::plan(&registry, &gen_select(), &[], SEED, 2).unwrap();
+    let mut manifest = dist::plan(&registry, &gen_select(), &[], SEED, 2, 1).unwrap();
     manifest.corpus.as_mut().unwrap().digest = "0000000000000000".to_string();
     let err = dist::run_shard(
         &dist::registry_for(&manifest),
@@ -185,7 +185,7 @@ fn corpus_drift_is_detected_and_named() {
 fn registry_drift_names_the_drifted_scenario() {
     let registry = gen_registry();
     let select = vec!["pipeline-domino".to_string(), "dram-refresh".to_string()];
-    let mut manifest = dist::plan(&registry, &select, &[], SEED, 2).unwrap();
+    let mut manifest = dist::plan(&registry, &select, &[], SEED, 2, 1).unwrap();
     let entry = manifest
         .per_scenario
         .iter_mut()

@@ -107,7 +107,7 @@ fn merged_shard_stores_reproduce_the_golden_campaign() {
     // then replay the campaign against the merged store: every cell
     // must be memoized and the JSON must still match the golden file.
     let registry = Registry::builtin();
-    let manifest = harness::dist::plan(&registry, &select(), &[], SEED, 3).unwrap();
+    let manifest = harness::dist::plan(&registry, &select(), &[], SEED, 3, 1).unwrap();
     let mut shard_stores = Vec::new();
     for index in 0..3 {
         let mut store = ResultStore::new();

@@ -19,14 +19,13 @@ const SPLICE_POOL: &[u8] = b"[]{}\",:\\0123456789.eE+-tfnul \n\xff";
 fn manifest_text() -> &'static str {
     static TEXT: OnceLock<String> = OnceLock::new();
     TEXT.get_or_init(|| {
-        let manifest = dist::plan_calibrated_with(
+        let manifest = dist::plan(
             &Registry::builtin(),
             &[],
             &["assoc=2".to_string()],
             42,
             3,
             2,
-            None,
         )
         .unwrap();
         manifest.to_json().pretty()

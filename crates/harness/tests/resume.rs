@@ -222,6 +222,7 @@ fn retired_persistence_flags_are_unknown() {
         &["shard", "--resume"],
         &["serve", "--checkpoint-every", "4"],
         &["gc", "--compact-journal"],
+        &["plan", "--calibrate", "s.json"],
     ] {
         let out = campaign_cmd(args).output().expect("campaign must spawn");
         assert_eq!(out.status.code(), Some(2), "{args:?}");

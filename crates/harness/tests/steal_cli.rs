@@ -176,59 +176,3 @@ fn slow_shard_is_stolen_from_and_the_merge_stays_byte_identical() {
     );
     run_ok(&["diff", single.to_str().unwrap(), merged.to_str().unwrap()]);
 }
-
-#[test]
-fn calibrated_plan_records_weights_and_still_runs() {
-    let dir = TempDir::new("calibrated");
-    let baseline = dir.path("baseline.json");
-    let manifest_path = dir.path("manifest.json");
-    // The weights come from the baseline's telemetry sidecar.
-    run_ok(&[
-        "run",
-        "--scenario",
-        SELECT[0],
-        "--scenario",
-        SELECT[1],
-        "--seed",
-        "42",
-        "--quiet",
-        "--telemetry",
-        "--store",
-        baseline.to_str().unwrap(),
-    ]);
-    let stdout = run_ok(&[
-        "plan",
-        "--scenario",
-        SELECT[0],
-        "--scenario",
-        SELECT[1],
-        "--seed",
-        "42",
-        "--shards",
-        "2",
-        "--calibrate",
-        baseline.to_str().unwrap(),
-        "--manifest",
-        manifest_path.to_str().unwrap(),
-    ]);
-    assert!(stdout.contains("cost weights:"), "got: {stdout}");
-    let manifest = dist::Manifest::load(&manifest_path).unwrap();
-    assert!(
-        manifest.per_scenario.iter().any(|s| s.weight > 1.0),
-        "calibration must produce a non-unit weight: {:?}",
-        manifest.per_scenario
-    );
-    // The calibrated manifest still shards and merges normally.
-    let store = dir.path("shard0.json");
-    run_ok(&[
-        "shard",
-        "--manifest",
-        manifest_path.to_str().unwrap(),
-        "--index",
-        "0",
-        "--quiet",
-        "--store",
-        store.to_str().unwrap(),
-    ]);
-    assert!(!ResultStore::load(&store).unwrap().is_empty());
-}

@@ -5,10 +5,6 @@
 //! * **Determinism** — a campaign run with `--telemetry` writes a
 //!   `store.json` byte-identical to a run without it (wall clock lives
 //!   only in the sidecar, never in the store).
-//! * **Calibration** — `plan --calibrate` takes measured wall-clock
-//!   durations from the sidecar beside the given store, and says so;
-//!   without a sidecar, or one timing none of the selection, it exits 2
-//!   naming the sidecar path.
 //! * **Lifecycle** — `gc --max-age-days` evicts from the sidecar's
 //!   access log (no entry = oldest), and gc folds a journal sidecar
 //!   into the store before collecting (a dry run writes nothing).
@@ -129,123 +125,6 @@ fn telemetry_sidecar_leaves_the_store_byte_identical() {
         assert_eq!(entry.runs, 1, "memoized hits are accesses, not runs");
         assert!(entry.last_hit_ms >= sidecar.get(fp).unwrap().last_hit_ms);
     }
-}
-
-#[test]
-fn plan_calibrate_reads_wall_clock_and_errors_without_a_sidecar() {
-    let dir = TempDir::new("calibrate");
-    let baseline = dir.path("baseline.json");
-    let b = baseline.to_str().unwrap();
-    // Two runs into one store: the domino cells are artificially slow,
-    // the dram cells are not.
-    let slow = campaign(
-        &[
-            "run",
-            "--scenario",
-            SELECT[0],
-            "--seed",
-            "42",
-            "--quiet",
-            "--store",
-            b,
-            "--telemetry",
-        ],
-        Some("30"),
-    );
-    assert!(slow.status.success());
-    let fast = campaign(
-        &[
-            "run",
-            "--scenario",
-            SELECT[1],
-            "--seed",
-            "42",
-            "--quiet",
-            "--store",
-            b,
-            "--telemetry",
-        ],
-        None,
-    );
-    assert!(fast.status.success());
-
-    let manifest_path = dir.path("manifest.json");
-    let m = manifest_path.to_str().unwrap();
-    let plan_args = [
-        "plan",
-        "--scenario",
-        SELECT[0],
-        "--scenario",
-        SELECT[1],
-        "--seed",
-        "42",
-        "--shards",
-        "2",
-        "--calibrate",
-        b,
-        "--manifest",
-        m,
-    ];
-    let stdout = run_ok(&plan_args);
-    assert!(
-        stdout.contains("wall-clock telemetry"),
-        "plan must say measured weights won: {stdout}"
-    );
-    let timed = harness::dist::Manifest::load(&manifest_path).unwrap();
-    let weight_of = |manifest: &harness::dist::Manifest, id: &str| {
-        manifest
-            .per_scenario
-            .iter()
-            .find(|s| s.id == id)
-            .unwrap()
-            .weight
-    };
-    assert!(
-        weight_of(&timed, SELECT[0]) > 2.0,
-        "the slowed scenario must weigh in as measurably costlier: {:?}",
-        timed.per_scenario
-    );
-    assert_eq!(weight_of(&timed, SELECT[1]), 1.0);
-
-    // A sidecar that times none of the selection is an error naming
-    // it, not a quiet fall back to unit weights.
-    let sidecar = telemetry_path(&baseline).display().to_string();
-    let mut untimed_args = plan_args;
-    untimed_args[2] = "dram-controller";
-    untimed_args[4] = "bus-arbitration";
-    let out = campaign(&untimed_args, None);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains(&sidecar) && stderr.contains("times none"),
-        "got: {stderr}"
-    );
-
-    // Without the sidecar, the same command errors naming the path.
-    std::fs::remove_file(telemetry_path(&baseline)).unwrap();
-    let out = campaign(&plan_args, None);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains(&sidecar) && stderr.contains("no telemetry sidecar"),
-        "got: {stderr}"
-    );
-    // The calibrated manifest still runs: a lone stealing shard sweeps
-    // the whole campaign (weights are advisory, never results).
-    std::fs::write(&manifest_path, timed.to_json().pretty()).unwrap();
-    let store = dir.path("shard0.json");
-    run_ok(&[
-        "shard",
-        "--manifest",
-        m,
-        "--index",
-        "0",
-        "--steal",
-        "--quiet",
-        "--store",
-        store.to_str().unwrap(),
-    ]);
-    run_ok(&["diff", b, store.to_str().unwrap()]);
 }
 
 #[test]
