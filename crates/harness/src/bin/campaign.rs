@@ -57,7 +57,6 @@ use harness::scenario::ScenarioError;
 use harness::serve::{top as serve_top, ServeOptions, Server};
 use harness::session::Session;
 use harness::store::{self, LockInfo, OpenedStore, ResultStore};
-use harness::telemetry::{self, Telemetry};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -83,7 +82,6 @@ struct Options {
     // lifecycle flags
     dry_run: bool,
     max_cells: Option<usize>,
-    max_age_days: Option<u64>,
     // convert flags
     to: Option<String>,
     // journal flags
@@ -97,8 +95,6 @@ struct Options {
     // top flags
     interval_ms: Option<u64>,
     once: bool,
-    // telemetry sidecar
-    telemetry: bool,
     // observability
     trace: Option<PathBuf>,
     // merge reporting
@@ -184,15 +180,6 @@ crash-resumable execution (run/report/shard with --store):
                      the final store bytes are identical with and
                      without it
 
-wall-clock telemetry (run/report/shard; needs --store):
-  --telemetry        append per-cell wall-clock durations and last-hit
-                     access timestamps to a sidecar beside the store
-                     (<store>.telemetry, JSON lines, fsync-batched like
-                     the journal). The store itself stays byte-identical
-                     to a run without telemetry; the sidecar feeds
-                     `merge --report` (wall-clock balance) and
-                     `gc --max-age-days` (age-based eviction)
-
 observability (run/report/shard/merge):
   --trace FILE       record named monotonic-clock spans (plan, decode,
                      memo lookup, cell, journal append/fsync,
@@ -200,7 +187,9 @@ observability (run/report/shard/merge):
                      counters to FILE as a Chrome trace-event stream —
                      open in Perfetto (ui.perfetto.dev) or validate
                      with `campaign trace FILE`. Purely observational:
-                     the store bytes are identical with and without it
+                     the store bytes are identical with and without it.
+                     The trace is where a run's cell times live: one
+                     `cell` span per executed cell
   trace  FILE        validate a --trace file (torn final lines from a
                      crash are tolerated; anything else is an error)
                      and print its per-span event counts and totals
@@ -240,10 +229,11 @@ distributed campaigns:
          for a replicated manifest, fold each replicate group into its
          distribution cell (drop the raws unless --keep-replicates) —
          byte-identical to a single-process run; --report (needs
-         --manifest) prints the steal-aware summary — which shard won
-         which chunk, from the lease files (--leases DIR, default
-         <manifest>.leases), and the realized per-shard wall-clock
-         balance from each input's telemetry sidecar
+         --manifest) prints the steal-aware summary from the lease
+         files (--leases DIR, default <manifest>.leases): which shard
+         won which chunk, and each shard's leased vs won chunks and
+         cells. A shard's wall time is the `cell` row of
+         `campaign trace` on its --trace file
   diff   BASELINE COMPARED [--tol METRIC=EPS]... [--tol-default EPS]
          [--rel EPS] [--sigmas S]
          compare two stores cell-by-cell; exit 1 if they differ.
@@ -257,12 +247,10 @@ distributed campaigns:
 
 result-store lifecycle:
   gc     --store PATH [--dry-run] [--seed S] [--corpus-size N]
-         [--max-cells N] [--max-age-days N]
+         [--max-cells N]
          drop cells the current registry can no longer serve (stale
          schema, unregistered scenario, old implementation version);
-         --max-age-days evicts cells whose last telemetry-recorded
-         access is older than N days (cells with no telemetry entry
-         are treated as oldest); --max-cells additionally evicts down
+         --max-cells additionally evicts down
          to N cells (oldest implementation version first, then stable
          fingerprint order); --dry-run reports without rewriting the
          store. A journal beside the store is folded in first, so its
@@ -333,7 +321,6 @@ fn parse(mut args: std::env::Args) -> Result<Options, String> {
         disasm: false,
         dry_run: false,
         max_cells: None,
-        max_age_days: None,
         to: None,
         compact_journal_over: None,
         progress: false,
@@ -343,7 +330,6 @@ fn parse(mut args: std::env::Args) -> Result<Options, String> {
         slowlog_over_us: None,
         interval_ms: None,
         once: false,
-        telemetry: false,
         trace: None,
         steal_report: false,
         shards: None,
@@ -401,11 +387,7 @@ fn parse(mut args: std::env::Args) -> Result<Options, String> {
             "--max-cells" => {
                 options.max_cells = Some(number("--max-cells", value("--max-cells")?)? as usize)
             }
-            "--max-age-days" => {
-                options.max_age_days = Some(number("--max-age-days", value("--max-age-days")?)?)
-            }
             "--to" => options.to = Some(value("--to")?),
-            "--telemetry" => options.telemetry = true,
             "--trace" => options.trace = Some(PathBuf::from(value("--trace")?)),
             "--report" => options.steal_report = true,
             "--compact-journal-over" => {
@@ -527,7 +509,6 @@ fn run(options: Options) -> Result<u8, String> {
             "--quiet",
             "--compact-journal-over",
             "--progress",
-            "--telemetry",
             "--trace",
             "--replicates",
             "--keep-replicates",
@@ -555,7 +536,6 @@ fn run(options: Options) -> Result<u8, String> {
             "--leases",
             "--compact-journal-over",
             "--progress",
-            "--telemetry",
             "--trace",
         ],
         "merge" => &[
@@ -575,7 +555,6 @@ fn run(options: Options) -> Result<u8, String> {
             "--seed",
             "--corpus-size",
             "--max-cells",
-            "--max-age-days",
             "--quiet",
         ],
         "convert" => &["--store", "--to", "--out", "--quiet"],
@@ -695,29 +674,8 @@ fn gc(registry: &Registry, options: &Options) -> Result<u8, String> {
         }
         doc = opened.store.to_json();
     }
-    let age_policy = match options.max_age_days {
-        None => None,
-        Some(days) => {
-            let sidecar = telemetry::telemetry_path(path);
-            if !sidecar.exists() && !options.quiet {
-                eprintln!(
-                    "note: no telemetry sidecar at {} — every cell counts as oldest \
-                     under --max-age-days {days}",
-                    sidecar.display()
-                );
-            }
-            Some((Telemetry::load(&sidecar).map_err(|e| e.to_string())?, days))
-        }
-    };
-    let limits = store::GcLimits {
-        max_cells: options.max_cells,
-        max_age: age_policy.as_ref().map(|(telemetry, days)| store::MaxAge {
-            telemetry,
-            now_ms: telemetry::now_ms(),
-            max_age_ms: (*days as f64 * store::MS_PER_DAY) as u64,
-        }),
-    };
-    let (kept, outcome) = store::gc(&doc, registry, &limits).map_err(|e| e.to_string())?;
+    let (kept, outcome) =
+        store::gc(&doc, registry, options.max_cells).map_err(|e| e.to_string())?;
     if !options.quiet || !outcome.dropped.is_empty() {
         print!("{}", report::gc_summary(&outcome, options.dry_run));
     }
@@ -725,21 +683,6 @@ fn gc(registry: &Registry, options: &Options) -> Result<u8, String> {
         kept.checkpoint(path).map_err(|e| e.to_string())?;
         if !options.quiet {
             println!("store rewritten: {}", path.display());
-        }
-        // Prune the telemetry sidecar alongside the store: entries of
-        // evicted cells are dead weight (and would resurrect their
-        // last-hit ages if the cells ever recompute under the same
-        // fingerprint).
-        let sidecar = telemetry::telemetry_path(path);
-        if sidecar.exists() && !outcome.dropped.is_empty() {
-            let mut telemetry = Telemetry::load(&sidecar).map_err(|e| e.to_string())?;
-            telemetry.retain(|fp| kept.contains(fp));
-            telemetry
-                .save_compacted(&sidecar)
-                .map_err(|e| e.to_string())?;
-            if !options.quiet {
-                println!("telemetry sidecar compacted: {}", sidecar.display());
-            }
         }
     }
     Ok(0)
@@ -815,22 +758,17 @@ fn convert(options: &Options) -> Result<u8, String> {
 }
 
 /// Opens what a campaign command's session runs against: the `--trace`
-/// recorder (threaded through the executor and the journal/telemetry
-/// sidecars, streamed out as a Chrome trace-event file at the end;
+/// recorder (threaded through the executor and the journal, streamed
+/// out as a Chrome trace-event file at the end;
 /// purely observational) and the store through the writer open: keep
 /// it until the session's final checkpoint, since it holds the store's
 /// lock. The journal is replayed, so a rerun of a killed campaign
 /// executes only the remaining cells.
 fn open_store(options: &Options) -> Result<(OpenedStore, Option<Obs>), String> {
-    if options.store.is_none() {
-        if options.telemetry {
-            return Err("--telemetry needs --store PATH (the sidecar lives beside it)".into());
-        }
-        if options.compact_journal_over.is_some() {
-            return Err(
-                "--compact-journal-over needs --store PATH (it bounds the store's journal)".into(),
-            );
-        }
+    if options.store.is_none() && options.compact_journal_over.is_some() {
+        return Err(
+            "--compact-journal-over needs --store PATH (it bounds the store's journal)".into(),
+        );
     }
     // The recorder opens first so store load / journal replay below
     // already appear in the trace.
@@ -876,8 +814,8 @@ fn same_store(a: &Path, b: &Path) -> bool {
 }
 
 /// Runs `runner` in a [`Session`] built from the persistence flags
-/// (journal and checkpoint with `--store`, sidecar with `--telemetry`,
-/// the `--progress` stderr line), then prints what was persisted and
+/// (journal and checkpoint with `--store`, the `--progress` stderr
+/// line), then prints what was persisted and
 /// finishes the trace. The store is written before the runner's error
 /// is returned, so a failing cell keeps its completed siblings on disk.
 fn run_session<T>(
@@ -886,7 +824,7 @@ fn run_session<T>(
     obs: Option<&Obs>,
     runner: impl FnOnce(&mut ResultStore, ExecHooks<'_>) -> Result<T, ScenarioError>,
 ) -> Result<T, String> {
-    let progress_line = |e: CellEvent<'_>| {
+    let progress_line = |e: CellEvent| {
         let mut err = std::io::stderr().lock();
         let _ = write!(
             err,
@@ -898,28 +836,15 @@ fn run_session<T>(
     let session = Session {
         store: options.store.as_deref(),
         compact_over: options.compact_journal_over,
-        telemetry: options.telemetry,
         obs,
         on_cell: options
             .progress
-            .then_some(&progress_line as &(dyn Fn(CellEvent<'_>) + Sync)),
+            .then_some(&progress_line as &(dyn Fn(CellEvent) + Sync)),
         cancel: None,
     };
     let persisted = session.run(store, runner).map_err(|e| e.to_string())?;
     if options.progress {
         eprintln!();
-    }
-    // Telemetry is advisory: an incomplete sidecar is a warning, and
-    // the store was saved regardless.
-    match (persisted.telemetry_warning, &options.store) {
-        (Some(warning), _) => {
-            eprintln!("campaign: warning: telemetry sidecar incomplete: {warning}")
-        }
-        (None, Some(store)) if options.telemetry && !options.quiet => println!(
-            "telemetry appended: {}",
-            telemetry::telemetry_path(store).display()
-        ),
-        _ => {}
     }
     if let (Some(path), false, n @ 1..) = (&options.store, options.quiet, persisted.compactions) {
         println!(
@@ -931,8 +856,8 @@ fn run_session<T>(
     persisted.outcome.map_err(|e| e.to_string())
 }
 
-/// Flushes the `--trace` file, if one was requested. Like telemetry,
-/// the trace is advisory: an incomplete trace is a warning on stderr,
+/// Flushes the `--trace` file, if one was requested. The trace is
+/// advisory: an incomplete trace is a warning on stderr,
 /// never a reason to fail a campaign whose store was already saved.
 fn finish_trace(obs: Option<&Obs>, quiet: bool) {
     let Some(obs) = obs else { return };
@@ -1145,21 +1070,8 @@ fn merge(options: &Options) -> Result<u8, String> {
                 ));
             }
             let leases = dist::LeaseDir::open(&lease_dir, &manifest).map_err(|e| e.to_string())?;
-            let inputs: Vec<(String, Option<Telemetry>)> = options
-                .positional
-                .iter()
-                .map(|p| {
-                    let sidecar = telemetry::telemetry_path(p);
-                    let telemetry = if sidecar.exists() {
-                        Some(Telemetry::load(&sidecar).map_err(|e| e.to_string())?)
-                    } else {
-                        None
-                    };
-                    Ok((p.display().to_string(), telemetry))
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            let report = dist::steal_report(&registry, &manifest, &leases, &inputs)
-                .map_err(|e| e.to_string())?;
+            let report =
+                dist::steal_report(&registry, &manifest, &leases).map_err(|e| e.to_string())?;
             print!("{}", report::steal_summary(&report, &manifest));
         }
     }

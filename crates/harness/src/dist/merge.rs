@@ -16,7 +16,6 @@ use crate::registry::Registry;
 use crate::scenario::ScenarioError;
 use crate::space::Cell;
 use crate::store::{ResultStore, StoredCell};
-use crate::telemetry::Telemetry;
 
 /// What a merge did, for reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -263,21 +262,10 @@ pub struct ShardBalance {
     pub stolen_chunks: usize,
 }
 
-/// One merge input's measured cost, from the telemetry sidecar beside
-/// its shard store (absent when the shard ran without `--telemetry`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct InputWall {
-    /// The input store, as given to `merge`.
-    pub label: String,
-    /// Cells with a recorded fresh execution.
-    pub executed_cells: usize,
-    /// Total measured wall-clock nanoseconds.
-    pub wall_ns: Option<f64>,
-}
-
-/// The steal-aware merge report: which shard won which chunk (from the
-/// lease files) and the realized per-shard wall-clock balance (from the
-/// per-shard telemetry sidecars).
+/// The steal-aware merge report: which shard won which chunk and the
+/// planned-vs-won balance per shard, both from the lease files. A
+/// shard's realised wall time is in its own `--trace` file (the `cell`
+/// row of `campaign trace`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StealReport {
     /// The campaign the lease directory is stamped for.
@@ -288,8 +276,6 @@ pub struct StealReport {
     /// a chunk, ascending by shard (a shard with neither has nothing to
     /// report, so a huge shard count costs nothing here).
     pub shards_balance: Vec<ShardBalance>,
-    /// Per merge input, the measured cost of what it executed.
-    pub inputs: Vec<InputWall>,
 }
 
 impl StealReport {
@@ -305,17 +291,13 @@ impl StealReport {
 }
 
 /// Builds the steal-aware report of a merged work-stealing campaign:
-/// recomputes the deterministic chunk map from the manifest, reads each
-/// chunk's lease file for the winning shard, and sums each input
-/// store's telemetry sidecar into its realized wall-clock cost.
-/// Telemetry is optional per input (`None` = the shard ran without
-/// `--telemetry`); the lease directory is not — without leases there is
-/// nothing steal-aware to report.
+/// recomputes the deterministic chunk map from the manifest and reads
+/// each chunk's lease file for the winning shard. Without leases there
+/// is nothing steal-aware to report.
 pub fn steal_report(
     registry: &Registry,
     manifest: &Manifest,
     leases: &LeaseDir,
-    inputs: &[(String, Option<Telemetry>)],
 ) -> Result<StealReport, ScenarioError> {
     let chunks = chunk_map(registry, manifest)?;
     let mut leased = Vec::with_capacity(chunks.len());
@@ -344,14 +326,6 @@ pub fn steal_report(
             }
         }
     }
-    let inputs = inputs
-        .iter()
-        .map(|(label, telemetry)| InputWall {
-            label: label.clone(),
-            executed_cells: telemetry.as_ref().map_or(0, Telemetry::executed_cells),
-            wall_ns: telemetry.as_ref().map(Telemetry::total_wall_ns),
-        })
-        .collect();
     Ok(StealReport {
         shards: manifest.shards,
         chunks: leased,
@@ -359,7 +333,6 @@ pub fn steal_report(
             .into_iter()
             .map(|(shard, b)| ShardBalance { shard, ..b })
             .collect(),
-        inputs,
     })
 }
 
@@ -420,9 +393,8 @@ mod tests {
     }
 
     #[test]
-    fn steal_report_joins_leases_and_telemetry() {
+    fn steal_report_joins_leases() {
         use crate::dist;
-        use std::time::Duration;
         let registry = Registry::builtin();
         let manifest = dist::plan(
             &registry,
@@ -444,14 +416,7 @@ mod tests {
         for chunk in &chunks[..chunks.len() - 1] {
             assert!(leases.claim(chunk.id, 1).unwrap());
         }
-        let mut telemetry = Telemetry::new();
-        telemetry.record_fresh("aaaa", "pipeline-domino", Duration::from_millis(2), 1);
-        telemetry.record_fresh("bbbb", "dram-refresh", Duration::from_millis(3), 2);
-        let inputs = vec![
-            ("shard0.json".to_string(), None),
-            ("shard1.json".to_string(), Some(telemetry)),
-        ];
-        let report = steal_report(&registry, &manifest, &leases, &inputs).unwrap();
+        let report = steal_report(&registry, &manifest, &leases).unwrap();
         assert_eq!(report.chunks.len(), chunks.len());
         assert_eq!(report.unclaimed(), 1);
         assert_eq!(report.chunks.last().unwrap().holder, None);
@@ -466,9 +431,6 @@ mod tests {
         assert_eq!(report.shards_balance[0].won_chunks, 0);
         let leased_total: usize = report.shards_balance.iter().map(|b| b.leased_chunks).sum();
         assert_eq!(leased_total, chunks.len(), "every chunk is leased once");
-        assert_eq!(report.inputs[0].wall_ns, None);
-        assert_eq!(report.inputs[1].executed_cells, 2);
-        assert_eq!(report.inputs[1].wall_ns, Some(5_000_000.0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -483,7 +445,7 @@ mod tests {
         let leases = LeaseDir::open(&dir, &manifest).unwrap();
         let top = u32::MAX - 1;
         assert!(leases.claim(0, top).unwrap());
-        let report = steal_report(&registry, &manifest, &leases, &[]).unwrap();
+        let report = steal_report(&registry, &manifest, &leases).unwrap();
         let shards: Vec<u32> = report.shards_balance.iter().map(|b| b.shard).collect();
         assert_eq!(shards, [0, 1, 2, 3, top], "4 leased shards and the winner");
         assert_eq!(report.shards_balance[4].stolen_chunks, 1);

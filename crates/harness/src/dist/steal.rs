@@ -371,19 +371,16 @@ pub fn run_shard_stealing(
         let base = executed_so_far;
         let memo_base = memoized_so_far;
         let rebased = hooks.on_cell.map(|on_cell| {
-            move |e: CellEvent<'_>| {
+            move |e: CellEvent| {
                 on_cell(CellEvent {
                     executed: base + e.executed,
                     memoized: memo_base + e.memoized,
                     total: campaign_lazy_cells,
-                    ..e
                 })
             }
         });
         let chunk_hooks = ExecHooks {
-            on_cell: rebased
-                .as_ref()
-                .map(|r| r as &(dyn Fn(CellEvent<'_>) + Sync)),
+            on_cell: rebased.as_ref().map(|r| r as &(dyn Fn(CellEvent) + Sync)),
             ..hooks
         };
         let piece = run_campaign_with(
@@ -581,7 +578,7 @@ mod tests {
         // Per-cell counts must accumulate across chunk invocations (not
         // reset per chunk) against the campaign-wide total.
         let seen = std::sync::Mutex::new(Vec::new());
-        let on_cell = |e: CellEvent<'_>| {
+        let on_cell = |e: CellEvent| {
             assert_eq!(e.total, 8, "campaign-wide total");
             seen.lock().unwrap().push(e.executed);
         };

@@ -9,11 +9,16 @@
 //! mutex on the hot path); the buffers are merged and sorted by global
 //! index afterwards, so the assembled campaign is
 //! identical whether one thread ran it or sixteen. [`ExecHooks`] expose
-//! the stream as it happens: one [`CellEvent`] per completed cell (the
-//! telemetry sidecar, `--progress` and serve job progress consume it)
-//! and a result sink that feeds the crash-resume journal. Opening,
-//! finishing and checkpointing those sidecars around a run is
+//! the stream as it happens: one [`CellEvent`] per completed cell
+//! (`--progress` and serve job progress consume it), a result sink that
+//! feeds the crash-resume journal, and a `cell` trace span per executed
+//! cell — the one place a cell's wall time is recorded. Opening,
+//! finishing and checkpointing the journal around a run is
 //! [`crate::session`]'s job.
+//!
+//! A cell that panics is contained like a cell that errors: the panic
+//! is caught at the cell and becomes [`ScenarioError::Panicked`], so
+//! its siblings still complete and persist.
 
 use crate::matrix::Filter;
 use crate::registry::Registry;
@@ -99,25 +104,12 @@ pub enum CellDomain<'a> {
     Ranges(&'a [Range<usize>]),
 }
 
-/// One completed cell — freshly executed, failed or memoized — as the
-/// executor hands it to [`ExecHooks::on_cell`]. The counts let a
-/// consumer track true completion (`executed + memoized` out of
-/// `total`), not just fresh work. Wall-clock time lives only in this
-/// side channel, never in the result store, whose bytes must stay a
-/// deterministic function of the campaign.
+/// The progress counts after one completed cell — freshly executed,
+/// failed or memoized — as the executor hands them to
+/// [`ExecHooks::on_cell`]. They let a consumer track true completion
+/// (`executed + memoized` out of `total`), not just fresh work.
 #[derive(Debug, Clone, Copy)]
-pub struct CellEvent<'a> {
-    /// The cell's store fingerprint.
-    pub fingerprint: &'a str,
-    /// Scenario id.
-    pub scenario: &'a str,
-    /// Measured wall-clock duration of the evaluation (failed ones
-    /// included); `None` for a memoized hit (an access, not an
-    /// execution).
-    pub wall: Option<std::time::Duration>,
-    /// The scenario returned an error for this cell: it has no result,
-    /// so the journal and the telemetry sidecar never see it.
-    pub failed: bool,
+pub struct CellEvent {
     /// Fresh cells completed so far in this invocation, this one
     /// included when it executed.
     pub executed: usize,
@@ -140,9 +132,9 @@ pub type ResultSink<'a> = &'a (dyn Fn(&str, &StoredCell) + Sync);
 pub struct ExecHooks<'a> {
     /// Called once per completed cell — fresh, failed or memoized —
     /// with its [`CellEvent`]. Invocation order across cells is
-    /// scheduling-dependent; every consumer (the telemetry sidecar,
-    /// `--progress`, serve job progress) aggregates, so none cares.
-    pub on_cell: Option<&'a (dyn Fn(CellEvent<'_>) + Sync)>,
+    /// scheduling-dependent; every consumer (`--progress`, serve job
+    /// progress) only shows the counts, so none cares.
+    pub on_cell: Option<&'a (dyn Fn(CellEvent) + Sync)>,
     /// Called with every fresh *successful* result as it completes,
     /// before the campaign is assembled — the crash-resume journal
     /// sink. Invocation order across cells is scheduling-dependent; the
@@ -164,9 +156,10 @@ pub struct ExecHooks<'a> {
 }
 
 /// Test/CI hook: `CAMPAIGN_CELL_DELAY_MS` sleeps after every freshly
-/// executed cell, turning any shard into an artificially slow one (the
-/// work-stealing and crash-resume suites race against it). Unset or
-/// unparseable means no delay.
+/// executed cell, inside its `cell` span, turning any shard into an
+/// artificially slow one (the work-stealing, crash-resume and
+/// one-writer suites race against it). Unset or unparseable means no
+/// delay.
 fn cell_delay() -> std::time::Duration {
     std::time::Duration::from_millis(
         std::env::var("CAMPAIGN_CELL_DELAY_MS")
@@ -181,8 +174,9 @@ fn cell_delay() -> std::time::Duration {
 /// `select` lists scenario ids (empty = every registered scenario;
 /// repeated ids are deduplicated, first occurrence wins the order).
 /// Memoized cells are taken from `store`; fresh results are inserted
-/// into it. Scenario errors abort the campaign deterministically (the
-/// error of the lowest-indexed failing cell wins).
+/// into it. Scenario errors (panics included, as
+/// [`ScenarioError::Panicked`]) abort the campaign deterministically
+/// (the error of the lowest-indexed failing cell wins).
 pub fn run_campaign(
     registry: &Registry,
     select: &[String],
@@ -316,10 +310,6 @@ pub fn run_campaign_with(
                     let memo = memo_cells.fetch_add(1, Ordering::Relaxed) + 1;
                     if let Some(on_cell) = hooks.on_cell {
                         on_cell(CellEvent {
-                            fingerprint: &cell.fingerprint,
-                            scenario: space.specs()[cell.scenario].id,
-                            wall: None,
-                            failed: false,
                             executed: executed_cells.load(Ordering::Relaxed),
                             memoized: memo,
                             total: scan_len,
@@ -331,19 +321,18 @@ pub fn run_campaign_with(
                     });
                     continue;
                 }
-                // The measured span covers the evaluation plus the test
+                // The `cell` span covers the evaluation plus the test
                 // delay hook: CAMPAIGN_CELL_DELAY_MS simulates a slow cell,
-                // so telemetry must see it as one. The clock is the shared
+                // so the trace must see it as one. The clock is the shared
                 // obs monotonic epoch: a wall-clock step can never make
-                // this duration negative, and the same interval feeds the
-                // telemetry sidecar and the `cell` trace span.
-                let started_ns = crate::obs::monotonic_ns();
-                let outcome = space.scenario(cell.scenario).run(&cell.params, cell.seed);
+                // this duration negative. Unobserved runs read no clock.
+                let started_ns = hooks.obs.map(|_| crate::obs::monotonic_ns());
+                let outcome = run_contained(space, &cell);
                 if !delay.is_zero() {
                     std::thread::sleep(delay);
                 }
-                let wall_ns = crate::obs::monotonic_ns().saturating_sub(started_ns);
-                if let Some(obs) = hooks.obs {
+                if let (Some(obs), Some(started_ns)) = (hooks.obs, started_ns) {
+                    let wall_ns = crate::obs::monotonic_ns().saturating_sub(started_ns);
                     obs.record_span("cell", "exec", started_ns, wall_ns);
                     obs.count("cells/executed", 1);
                 }
@@ -353,10 +342,6 @@ pub fn run_campaign_with(
                 let executed = executed_cells.fetch_add(1, Ordering::Relaxed) + 1;
                 if let Some(on_cell) = hooks.on_cell {
                     on_cell(CellEvent {
-                        fingerprint: &cell.fingerprint,
-                        scenario: space.specs()[cell.scenario].id,
-                        wall: Some(std::time::Duration::from_nanos(wall_ns)),
-                        failed: outcome.is_err(),
                         executed,
                         memoized: memo_cells.load(Ordering::Relaxed),
                         total: scan_len,
@@ -461,6 +446,31 @@ pub fn run_campaign_with(
         executed,
         memoized,
         replicates: config.replicates,
+    })
+}
+
+/// Evaluates one cell with its panic caught: a panicking
+/// `Scenario::run` becomes [`ScenarioError::Panicked`] naming the cell,
+/// so it fails like an erroring cell (never journaled or memoized) and
+/// its siblings complete. Asserting unwind safety is sound because a
+/// panicked evaluation leaves nothing behind: scenarios are pure
+/// functions of `(params, seed)`, and the executor keeps only the error.
+fn run_contained(space: &CampaignSpace<'_>, cell: &Cell) -> Result<CellResult, ScenarioError> {
+    let scenario = space.scenario(cell.scenario);
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        scenario.run(&cell.params, cell.seed)
+    }))
+    .unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|m| m.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        Err(ScenarioError::Panicked {
+            scenario: space.specs()[cell.scenario].id.to_string(),
+            params: cell.params.key(),
+            message,
+        })
     })
 }
 
@@ -799,16 +809,11 @@ mod tests {
             assert_eq!(cell.scenario, "toy");
             seen.lock().unwrap().push(fp.to_string());
         };
-        let events: Mutex<Vec<(String, bool)>> = Mutex::new(Vec::new());
-        let on_cell = |e: CellEvent<'_>| {
-            assert_eq!(e.scenario, "toy");
+        let events: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
+        let on_cell = |e: CellEvent| {
             assert_eq!(e.total, 6);
-            assert!(!e.failed);
             peak.fetch_max(e.executed, Ordering::Relaxed);
-            events
-                .lock()
-                .unwrap()
-                .push((e.fingerprint.to_string(), e.wall.is_some()));
+            events.lock().unwrap().push((e.executed, e.memoized));
         };
         let mut store = ResultStore::new();
         let campaign = run_campaign_with(
@@ -837,25 +842,23 @@ mod tests {
         let mut stored: Vec<String> = store.iter().map(|(fp, _)| fp.to_string()).collect();
         stored.sort();
         assert_eq!(fps, stored, "the sink must see exactly the fresh cells");
-        // One event per fresh cell, each with a measured duration.
-        let mut timed = events.into_inner().unwrap();
-        assert!(timed.iter().all(|(_, fresh)| *fresh));
-        timed.sort();
+        // One event per fresh cell, each counting one more execution.
+        let mut counts = events.into_inner().unwrap();
+        counts.sort();
         assert_eq!(
-            timed.iter().map(|(fp, _)| fp.clone()).collect::<Vec<_>>(),
-            stored,
-            "the per-cell event must fire for exactly the fresh cells"
+            counts,
+            (1..=6).map(|n| (n, 0)).collect::<Vec<_>>(),
+            "the per-cell event must fire once per fresh cell"
         );
 
-        // A fully memoized rerun feeds the result sink nothing — and
-        // its events are pure accesses (no wall clock).
+        // A fully memoized rerun feeds the result sink nothing, and its
+        // events count memo hits only.
         let count = AtomicUsize::new(0);
         let counting = |_: &str, _: &StoredCell| {
             count.fetch_add(1, Ordering::Relaxed);
         };
         let hit_count = AtomicUsize::new(0);
-        let counting_hits = |e: CellEvent<'_>| {
-            assert!(e.wall.is_none(), "memoized hits carry no duration");
+        let counting_hits = |e: CellEvent| {
             assert_eq!((e.executed, e.total), (0, 6));
             hit_count.fetch_add(1, Ordering::Relaxed);
         };
@@ -917,7 +920,7 @@ mod tests {
         // single worker finishes the cell in hand, stops pulling, and
         // the completed work is still assembled into the store.
         let cancel = AtomicBool::new(false);
-        let on_cell = |_: CellEvent<'_>| cancel.store(true, Ordering::Relaxed);
+        let on_cell = |_: CellEvent| cancel.store(true, Ordering::Relaxed);
         let err = run_campaign_with(
             &registry(),
             &[],

@@ -34,8 +34,9 @@
 //!   shared lock on the hot path); deterministic per-cell seeding and
 //!   global-index assembly make results identical whether the campaign
 //!   ran on one thread or sixteen. [`exec::ExecHooks`] stream one
-//!   [`exec::CellEvent`] per completed cell and every fresh result out
-//!   as they happen.
+//!   [`exec::CellEvent`] (progress counts) per completed cell and every
+//!   fresh result out as they happen. A panicking cell is contained:
+//!   it fails as [`ScenarioError::Panicked`], like any erroring cell.
 //! * [`store`] — the memoizing [`ResultStore`]: completed cells are
 //!   keyed by a fingerprint of `(schema, scenario, params, seed)` and
 //!   persist as deterministic JSON; re-running a campaign executes only
@@ -50,9 +51,8 @@
 //!   ([`ResultStore::load_required`]) refuse a live writer's store, and
 //!   a dead owner's lock is broken by the next writer.
 //! * [`session`] — the persistence policy around one run: a
-//!   [`Session`] opens the journal and the telemetry sidecar, hands the
-//!   runner its hooks, and checkpoints the store whatever the runner
-//!   returns. CLI `run`/`report`/`shard` and serve's `submit` all run
+//!   [`Session`] opens the journal, hands the runner its hooks, and
+//!   checkpoints the store whatever the runner returns. CLI `run`/`report`/`shard` and serve's `submit` all run
 //!   through it, so a failing cell never discards its completed
 //!   siblings.
 //! * [`obs`] — the engine instrumentation layer: named
@@ -61,14 +61,10 @@
 //!   checkpoint, steal-lease claim, merge), exported as a Chrome
 //!   trace-event file (`--trace FILE`, loadable in Perfetto) and as
 //!   in-memory span and counter totals (the per-layer rows of the
-//!   `perfbench` benchmark read them). Attaching an [`obs::Obs`] never
-//!   changes store bytes.
-//! * [`telemetry`] — the wall-clock sidecar: an append-only,
-//!   fsync-batched event log beside the store (`store.json.telemetry`)
-//!   recording per-cell measured durations and last-hit access
-//!   timestamps from each [`exec::CellEvent`] — keeping time out
-//!   of the byte-deterministic store while feeding steal-aware merge
-//!   reports (`merge --report`) and age-based GC (`gc --max-age-days`).
+//!   `perfbench` benchmark read them). A run's cell times live only
+//!   in its trace (one `cell` span per executed cell), never in the
+//!   byte-deterministic store: attaching an [`obs::Obs`] never changes
+//!   store bytes.
 //! * [`report`] — campaign serialization (JSON/CSV) and the Table-1/2
 //!   style evidence summary joining results against
 //!   `predictability_core::catalog`; driven by the `campaign` CLI
@@ -148,7 +144,6 @@ pub mod serve;
 pub mod session;
 pub mod space;
 pub mod store;
-pub mod telemetry;
 
 pub use dist::{diff_stores, merge_stores, DiffReport, LeaseDir, Manifest, Tolerances};
 pub use exec::{
@@ -165,4 +160,3 @@ pub use serve::{ServeOptions, ServeSummary, Server, ServerHandle};
 pub use session::{Persisted, Session};
 pub use space::CampaignSpace;
 pub use store::{CompactingJournal, Journal, OpenedStore, ResultStore, StoreFormat};
-pub use telemetry::{Telemetry, TelemetryLog};

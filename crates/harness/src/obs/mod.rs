@@ -1,10 +1,10 @@
 //! # obs — span tracing and engine-level profiling
 //!
-//! The instrumentation layer around the campaign engine. Where
-//! [`crate::telemetry`] measures the cost of the *cells* (the workload),
-//! `obs` measures the *engine around them*: planning, cell decoding,
-//! memo lookups, journal appends and fsync batches, checkpoint
-//! compaction, steal-lease acquisition, and merge.
+//! The instrumentation layer around the campaign engine: the cost of
+//! the *cells* (one `cell` span per executed cell, the only place a
+//! run records cell times) and of the *engine around them*: planning,
+//! cell decoding, memo lookups, journal appends and fsync batches,
+//! checkpoint compaction, steal-lease acquisition, and merge.
 //!
 //! The recorder is an [`Obs`] handle — cheap to clone, safe to share
 //! across worker threads — that collects two things at once:
@@ -26,12 +26,11 @@
 //! Everything here is *observational*: attaching an [`Obs`] (with or
 //! without a trace file) must never change the bytes of a result
 //! store. Time lives in the trace and in span totals, never in the
-//! store — the same invariant the telemetry sidecar keeps.
+//! store.
 //!
 //! All durations come from one process-wide monotonic epoch
-//! ([`monotonic_ns`]); the executor's per-cell wall measurements use
-//! the same clock, so telemetry durations and trace spans agree and a
-//! wall-clock step can never produce a negative duration.
+//! ([`monotonic_ns`]), so a wall-clock step can never produce a
+//! negative duration.
 //!
 //! Next to the span recorder sits [`metrics`]: a lock-free registry of
 //! named counters, gauges, log-bucketed latency histograms, and
@@ -62,8 +61,8 @@ const TRACE_BATCH: usize = 128;
 
 /// Nanoseconds since the process-wide monotonic epoch (the first call
 /// wins the epoch). Steps in the wall clock cannot move this, so
-/// durations derived from it are never negative. Trace timestamps,
-/// executor cell timing, and telemetry durations all use this clock.
+/// durations derived from it are never negative. Trace timestamps and
+/// executor cell timing both use this clock.
 pub fn monotonic_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
@@ -113,9 +112,8 @@ struct ObsState {
 
 /// The shared span/counter recorder. Clones share one underlying
 /// state, so a single handle handed to a [`crate::session::Session`]
-/// (which threads it through [`crate::exec::ExecHooks`], the journal
-/// and the telemetry sidecar) collects from every worker thread at
-/// once.
+/// (which threads it through [`crate::exec::ExecHooks`] and the
+/// journal) collects from every worker thread at once.
 ///
 /// Invariant: the trace `AppendLog` held *inside* the recorder is
 /// never itself observed (no `observe` back-reference) — recording a

@@ -421,10 +421,9 @@ pub fn diff_summary(report: &DiffReport) -> String {
 }
 
 /// Renders the steal-aware merge report: one `chunk` line per planned
-/// chunk (who won it, and whether that was a steal), the per-shard
-/// planned-vs-realized balance, and each input store's measured
-/// wall-clock cost from its telemetry sidecar. Chunk lines are the CI
-/// contract: every planned chunk appears exactly once.
+/// chunk (who won it, and whether that was a steal) and the per-shard
+/// planned-vs-won balance. Chunk lines are the CI contract: every
+/// planned chunk appears exactly once.
 pub fn steal_summary(report: &crate::dist::merge::StealReport, manifest: &Manifest) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -465,27 +464,6 @@ pub fn steal_summary(report: &crate::dist::merge::StealReport, manifest: &Manife
             balance.won_cells,
             balance.stolen_chunks
         );
-    }
-    for input in &report.inputs {
-        match input.wall_ns {
-            Some(wall_ns) => {
-                let _ = writeln!(
-                    out,
-                    "input {}: {} cells executed, wall {:.3} s",
-                    input.label,
-                    input.executed_cells,
-                    wall_ns / 1e9
-                );
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "input {}: no telemetry sidecar (run shards with --telemetry \
-                     for the wall-clock balance)",
-                    input.label
-                );
-            }
-        }
     }
     out
 }
@@ -706,7 +684,7 @@ mod tests {
         for chunk in &chunks {
             assert!(leases.claim(chunk.id, chunk.initial_shard).unwrap());
         }
-        let report = dist::steal_report(&registry, &manifest, &leases, &[]).unwrap();
+        let report = dist::steal_report(&registry, &manifest, &leases).unwrap();
         let s = steal_summary(&report, &manifest);
         let chunk_lines: Vec<&str> = s.lines().filter(|l| l.starts_with("chunk ")).collect();
         assert_eq!(chunk_lines.len(), chunks.len());

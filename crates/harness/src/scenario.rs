@@ -196,6 +196,18 @@ pub enum ScenarioError {
     /// cancel was persisted, the remainder never ran. Rerunning the
     /// same campaign resumes from the persisted cells.
     Cancelled,
+    /// A cell's `Scenario::run` panicked. The executor catches the
+    /// panic at the cell, so the campaign fails like on any erroring
+    /// cell: the completed siblings persist, the panicked cell is never
+    /// journaled or memoized, and a rerun retries it.
+    Panicked {
+        /// Scenario id.
+        scenario: String,
+        /// The cell's canonical parameter key (`a=1,b=2`).
+        params: String,
+        /// The panic message.
+        message: String,
+    },
 }
 
 impl fmt::Display for ScenarioError {
@@ -215,6 +227,14 @@ impl fmt::Display for ScenarioError {
             ScenarioError::Store(msg) => write!(f, "result store error: {msg}"),
             ScenarioError::Dist(msg) => write!(f, "distributed campaign error: {msg}"),
             ScenarioError::Cancelled => write!(f, "campaign cancelled before completion"),
+            ScenarioError::Panicked {
+                scenario,
+                params,
+                message,
+            } => write!(
+                f,
+                "scenario `{scenario}` panicked on cell {params}: {message}"
+            ),
         }
     }
 }

@@ -101,6 +101,14 @@ const SLOWLOG_CAP: usize = 64;
 /// Request payload bytes kept per slowlog entry.
 const SLOWLOG_PAYLOAD: usize = 128;
 
+/// "Now" in Unix epoch milliseconds: the calendar timestamp of slowlog
+/// entries and job starts.
+fn now_ms() -> u64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_millis() as u64)
+}
+
 /// Daemon tuning knobs (the `campaign serve` flags).
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -187,7 +195,7 @@ struct JobProgress {
     cells_done: AtomicU64,
     /// Lazy cells in the job's domain (0 until the first cell event).
     cells_total: AtomicU64,
-    /// Wall-clock start (`telemetry::now_ms`); 0 while queued.
+    /// Wall-clock start ([`now_ms`]); 0 while queued.
     started_ms: AtomicU64,
 }
 
@@ -542,7 +550,7 @@ impl ServerInner {
         let entry = SlowEntry {
             op: SERVE_OPS.get(slot).copied().unwrap_or("other").to_string(),
             duration_us,
-            at_ms: crate::telemetry::now_ms(),
+            at_ms: now_ms(),
             payload: truncated,
         };
         let mut ring = unpoison(self.slowlog.lock());
@@ -1299,7 +1307,7 @@ fn scheduler_loop(inner: &Arc<ServerInner>) {
                     record
                         .progress
                         .started_ms
-                        .store(crate::telemetry::now_ms(), Ordering::Relaxed);
+                        .store(now_ms(), Ordering::Relaxed);
                     break Some((record.spec.clone(), record.progress.clone()));
                 }
                 if inner.shutdown.load(Ordering::SeqCst) {
@@ -1357,7 +1365,7 @@ fn run_job(
         .map_err(|_| ScenarioError::Store("store lock poisoned".to_string()))?;
     // Stream completion (fresh + memoized) into the job's progress
     // cells so `stats`/`jobs`/`top` can watch the run live.
-    let progress_sink = |e: CellEvent<'_>| {
+    let progress_sink = |e: CellEvent| {
         progress
             .cells_done
             .store((e.executed + e.memoized) as u64, Ordering::Relaxed);
@@ -1368,7 +1376,6 @@ fn run_job(
     let session = Session {
         store: Some(&inner.store_path),
         compact_over: inner.options.compact_journal_over,
-        telemetry: false,
         obs: inner.obs.as_ref(),
         on_cell: Some(&progress_sink),
         cancel: Some(&inner.cancel),

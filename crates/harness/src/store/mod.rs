@@ -574,16 +574,26 @@ impl ResultStore {
         if !journal.exists() {
             return Ok(opened);
         }
-        let OpenedStore {
-            store, replayed, ..
-        } = &mut opened;
-        replay_sidecar_lines(&journal, &mut |doc| {
-            if let Some((fp, cell)) = parse_journal_line(doc)? {
-                store.insert_cell(fp, cell);
-                *replayed += 1;
+        let text = std::fs::read_to_string(&journal)
+            .map_err(|e| ScenarioError::Store(format!("read {}: {e}", journal.display())))?;
+        let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
+        for (i, line) in lines.iter().enumerate() {
+            match Json::parse(line).and_then(|doc| parse_journal_line(&doc)) {
+                Ok(Some((fp, cell))) => {
+                    opened.store.insert_cell(fp, cell);
+                    opened.replayed += 1;
+                }
+                Ok(None) => {}
+                Err(_) if i + 1 == lines.len() => break, // torn tail
+                Err(e) => {
+                    return Err(ScenarioError::Store(format!(
+                        "{} line {}: {e}",
+                        journal.display(),
+                        i + 1
+                    )))
+                }
             }
-            Ok(())
-        })?;
+        }
         Ok(opened)
     }
 
@@ -650,37 +660,6 @@ pub fn journal_path(store: &Path) -> std::path::PathBuf {
     store.with_file_name(name)
 }
 
-/// Walks an append-only JSON-lines sidecar (journal, telemetry log):
-/// one parsed value per non-empty line, in file order. A failing final
-/// line — the telltale of a kill mid-append — is tolerated and skipped;
-/// a failure anywhere earlier is real corruption and errors with the
-/// line number. `visit` returning `Err` counts as a line failure, so
-/// schema-valid-JSON-but-bad-record lines get the same torn-tail
-/// treatment as unparseable bytes.
-pub(crate) fn replay_sidecar_lines(
-    path: &Path,
-    visit: &mut dyn FnMut(&Json) -> Result<(), String>,
-) -> Result<(), ScenarioError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| ScenarioError::Store(format!("read {}: {e}", path.display())))?;
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    for (i, line) in lines.iter().enumerate() {
-        let outcome = Json::parse(line).and_then(|doc| visit(&doc));
-        match outcome {
-            Ok(()) => {}
-            Err(_) if i + 1 == lines.len() => break, // torn tail
-            Err(e) => {
-                return Err(ScenarioError::Store(format!(
-                    "{} line {}: {e}",
-                    path.display(),
-                    i + 1
-                )))
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Parses one journal line. `Ok(None)` means the line belongs to
 /// another store schema (skipped, like old-schema checkpoint cells).
 fn parse_journal_line(doc: &Json) -> Result<Option<(String, StoredCell)>, String> {
@@ -698,8 +677,8 @@ fn parse_journal_line(doc: &Json) -> Result<Option<(String, StoredCell)>, String
     Ok(Some((fp, cell)))
 }
 
-/// The shared machinery of the store's append-only sidecars (the
-/// crash-resume [`Journal`] and the telemetry log): a line-oriented
+/// The append-only log machinery behind the crash-resume [`Journal`]
+/// and the `--trace` file ([`crate::obs::Obs`]): a line-oriented
 /// file opened for append with the torn final line *healed* (truncated
 /// back to the last complete record), flushed on every append and
 /// fsync'd every `batch` lines, with sticky I/O errors surfaced by
@@ -715,13 +694,12 @@ pub(crate) struct AppendLog {
     /// trigger reads this.
     lines: usize,
     error: Option<String>,
-    /// Optional span recorder + span-name prefix (`journal`,
-    /// `telemetry`): appends and fsync batches are recorded as
-    /// `<prefix>/append` / `<prefix>/fsync` spans. The trace log an
-    /// [`crate::obs::Obs`] writes through is itself an `AppendLog` and
-    /// must never be observed — recording holds the obs lock while
-    /// appending, so a back-reference would deadlock.
-    obs: Option<(crate::obs::Obs, &'static str)>,
+    /// Optional span recorder: the journal's appends and fsync batches
+    /// are recorded as `journal/append` / `journal/fsync` spans. The
+    /// trace log an [`crate::obs::Obs`] writes through is itself an
+    /// `AppendLog` and must never be observed — recording holds the obs
+    /// lock while appending, so a back-reference would deadlock.
+    obs: Option<crate::obs::Obs>,
 }
 
 impl AppendLog {
@@ -783,10 +761,10 @@ impl AppendLog {
     }
 
     /// Attaches a span recorder: appends and fsync batches show up as
-    /// `<prefix>/append` / `<prefix>/fsync` spans plus a
-    /// `<prefix>/fsync_batches` counter.
-    pub(crate) fn observe(&mut self, obs: &crate::obs::Obs, prefix: &'static str) {
-        self.obs = Some((obs.clone(), prefix));
+    /// `journal/append` / `journal/fsync` spans plus a
+    /// `journal/fsync_batches` counter.
+    pub(crate) fn observe(&mut self, obs: &crate::obs::Obs) {
+        self.obs = Some(obs.clone());
     }
 
     /// Complete lines in the file (pre-existing ones included).
@@ -807,9 +785,9 @@ impl AppendLog {
             self.error = Some(format!("append {}: {e}", self.path.display()));
             return;
         }
-        if let (Some((obs, prefix)), Some(start)) = (&self.obs, start_ns) {
+        if let (Some(obs), Some(start)) = (&self.obs, start_ns) {
             let dur = crate::obs::monotonic_ns().saturating_sub(start);
-            obs.record_span(&format!("{prefix}/append"), "store", start, dur);
+            obs.record_span("journal/append", "store", start, dur);
         }
         self.lines += 1;
         self.pending += 1;
@@ -827,10 +805,10 @@ impl AppendLog {
         match self.file.sync_data() {
             Ok(()) => {
                 self.pending = 0;
-                if let (Some((obs, prefix)), Some(start)) = (&self.obs, start_ns) {
+                if let (Some(obs), Some(start)) = (&self.obs, start_ns) {
                     let dur = crate::obs::monotonic_ns().saturating_sub(start);
-                    obs.record_span(&format!("{prefix}/fsync"), "store", start, dur);
-                    obs.count(&format!("{prefix}/fsync_batches"), 1);
+                    obs.record_span("journal/fsync", "store", start, dur);
+                    obs.count("journal/fsync_batches", 1);
                 }
             }
             Err(e) => self.error = Some(format!("fsync {}: {e}", self.path.display())),
@@ -892,7 +870,7 @@ impl Journal {
     /// `journal/append` span and every fsync batch as `journal/fsync`
     /// (plus the `journal/fsync_batches` counter).
     pub fn observe(&mut self, obs: &crate::obs::Obs) {
-        self.log.observe(obs, "journal");
+        self.log.observe(obs);
     }
 
     /// Appends one completed cell. Failures are recorded, not returned
@@ -1069,37 +1047,6 @@ pub struct GcReport {
     pub dropped: Vec<GcDrop>,
 }
 
-/// Milliseconds per day (the `--max-age-days` unit).
-pub const MS_PER_DAY: f64 = 86_400_000.0;
-
-/// Age-based eviction policy for [`gc`]: evict cells whose last access
-/// (per the telemetry sidecar's hit log) is older than `max_age_ms` at
-/// `now_ms`. Cells with no telemetry entry at all are treated as the
-/// *oldest* — a store that predates telemetry, or cells no campaign has
-/// touched since the sidecar appeared, age out rather than living
-/// forever by omission.
-#[derive(Debug, Clone, Copy)]
-pub struct MaxAge<'a> {
-    /// The aggregated access log beside the store.
-    pub telemetry: &'a crate::telemetry::Telemetry,
-    /// "Now", in Unix epoch milliseconds (a parameter, not a syscall,
-    /// so two GC passes over equal inputs decide identically).
-    pub now_ms: u64,
-    /// Maximum tolerated age, in milliseconds.
-    pub max_age_ms: u64,
-}
-
-/// The optional eviction limits of a [`gc`] pass, applied after the
-/// staleness rules: age first (cells nobody reads make way before the
-/// size cap bites), then the size cap.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GcLimits<'a> {
-    /// Evict down to at most this many cells.
-    pub max_cells: Option<usize>,
-    /// Evict cells not accessed recently enough.
-    pub max_age: Option<MaxAge<'a>>,
-}
-
 /// The result-store lifecycle pass: rebuilds a store keeping only the
 /// cells the given registry could still serve. Dropped are
 ///
@@ -1116,10 +1063,8 @@ pub struct GcLimits<'a> {
 /// version, so they are retained as cells of *other* corpora (other
 /// campaign seeds), which a future campaign may legitimately hit.
 ///
-/// With `limits.max_age` set, cells whose last telemetry-recorded
-/// access is older than the cap — or that have no telemetry entry at
-/// all (treated as oldest) — are evicted next. With `limits.max_cells:
-/// Some(n)`, the pass finally enforces a size cap: when more than `n`
+/// With `max_cells: Some(n)`, the pass then enforces a size cap: when
+/// more than `n`
 /// cells survive, the excess is evicted oldest-implementation-version
 /// first (the cells most likely to be invalidated next), ties broken by
 /// stable fingerprint order — so two GC passes over equal stores evict
@@ -1132,7 +1077,7 @@ pub struct GcLimits<'a> {
 pub fn gc(
     doc: &Json,
     registry: &crate::registry::Registry,
-    limits: &GcLimits<'_>,
+    max_cells: Option<usize>,
 ) -> Result<(ResultStore, GcReport), ScenarioError> {
     let schema = doc.get("schema").and_then(Json::as_f64).unwrap_or(0.0) as u32;
     let raw_cells = match doc.get("cells") {
@@ -1193,45 +1138,7 @@ pub fn gc(
             }),
         }
     }
-    if let Some(age) = &limits.max_age {
-        let victims: Vec<(String, String)> = kept
-            .iter()
-            .filter_map(|(fp, _)| {
-                let last = age.telemetry.last_hit_ms(fp);
-                let stale = match last {
-                    // No access record: older than anything recorded.
-                    None => true,
-                    Some(at) => age.now_ms.saturating_sub(at) > age.max_age_ms,
-                };
-                stale.then(|| {
-                    let reason = match last {
-                        None => format!(
-                            "evicted: no telemetry access record (treated as oldest) under \
-                             --max-age-days {:.1}",
-                            age.max_age_ms as f64 / MS_PER_DAY
-                        ),
-                        Some(at) => format!(
-                            "evicted: last hit {:.1} days ago exceeds --max-age-days {:.1}",
-                            age.now_ms.saturating_sub(at) as f64 / MS_PER_DAY,
-                            age.max_age_ms as f64 / MS_PER_DAY
-                        ),
-                    };
-                    (fp.to_string(), reason)
-                })
-            })
-            .collect();
-        for (fp, reason) in victims {
-            let cell = kept.remove(&fp).expect("victim came from the kept set");
-            report.kept -= 1;
-            report.dropped.push(GcDrop {
-                fingerprint: fp,
-                scenario: cell.scenario,
-                params_key: cell.params_key,
-                reason,
-            });
-        }
-    }
-    if let Some(max) = limits.max_cells {
+    if let Some(max) = max_cells {
         if kept.len() > max {
             let excess = kept.len() - max;
             let mut victims: Vec<(u32, String)> = kept
@@ -1442,7 +1349,7 @@ mod tests {
         store.insert("fixed", 3, &params(), 1, CellResult::new(vec![("m", 1.0)]));
         store.insert("fixed", 2, &params(), 1, CellResult::new(vec![("m", 2.0)]));
         store.insert("gone", 1, &params(), 1, CellResult::new(vec![("m", 3.0)]));
-        let (kept, report) = gc(&store.to_json(), &registry, &GcLimits::default()).unwrap();
+        let (kept, report) = gc(&store.to_json(), &registry, None).unwrap();
         assert_eq!(kept.len(), 1);
         assert_eq!(report.kept, 1);
         assert_eq!(report.dropped.len(), 2);
@@ -1459,12 +1366,7 @@ mod tests {
         if let Json::Obj(members) = &mut doc {
             members[0].1 = Json::Num(1.0); // pretend schema 1
         }
-        let (kept, report) = gc(
-            &doc,
-            &crate::registry::Registry::empty(),
-            &GcLimits::default(),
-        )
-        .unwrap();
+        let (kept, report) = gc(&doc, &crate::registry::Registry::empty(), None).unwrap();
         assert!(kept.is_empty());
         assert_eq!(report.kept, 0);
         assert_eq!(report.dropped.len(), 1);
@@ -1517,11 +1419,7 @@ mod tests {
         }
         // Cap at 3: the three version-1 cells go first (oldest
         // implementation version), so every survivor is version 5.
-        let limit = |n| GcLimits {
-            max_cells: Some(n),
-            max_age: None,
-        };
-        let (kept, report) = gc(&store.to_json(), &registry, &limit(3)).unwrap();
+        let (kept, report) = gc(&store.to_json(), &registry, Some(3)).unwrap();
         assert_eq!(kept.len(), 3);
         assert_eq!(report.kept, 3);
         assert_eq!(report.dropped.len(), 3);
@@ -1540,96 +1438,9 @@ mod tests {
         sorted.sort();
         assert_eq!(evicted, sorted);
         // A cap the store already satisfies evicts nothing.
-        let (kept, report) = gc(&store.to_json(), &registry, &limit(10)).unwrap();
+        let (kept, report) = gc(&store.to_json(), &registry, Some(10)).unwrap();
         assert_eq!(kept.len(), 6);
         assert!(report.dropped.is_empty());
-    }
-
-    #[test]
-    fn gc_max_age_evicts_stale_and_untracked_cells() {
-        use crate::registry::Registry;
-        use crate::scenario::{Axis, Scenario, ScenarioSpec};
-        use crate::telemetry::Telemetry;
-
-        struct Fixed;
-        impl Scenario for Fixed {
-            fn spec(&self) -> ScenarioSpec {
-                ScenarioSpec {
-                    id: "fixed",
-                    version: 1,
-                    title: "f",
-                    source_crate: "harness",
-                    property: "p",
-                    uncertainty: "u",
-                    quality: "q",
-                    catalog_id: None,
-                    content_digest: None,
-                    axes: vec![Axis::new("n", [1])],
-                    headline_metric: "m",
-                    smaller_is_better: true,
-                }
-            }
-            fn run(&self, _: &Params, _: u64) -> Result<CellResult, ScenarioError> {
-                Ok(CellResult::new(vec![("m", 0.0)]))
-            }
-        }
-
-        let mut registry = Registry::empty();
-        registry.register(Box::new(Fixed));
-        let mut store = ResultStore::new();
-        for seed in 0..3 {
-            store.insert(
-                "fixed",
-                1,
-                &params(),
-                seed,
-                CellResult::new(vec![("m", 1.0)]),
-            );
-        }
-        let fps: Vec<String> = store.iter().map(|(fp, _)| fp.to_string()).collect();
-        // fps[0] hit recently, fps[1] hit long ago, fps[2] never hit.
-        let now_ms = 100 * MS_PER_DAY as u64;
-        let mut telemetry = Telemetry::new();
-        telemetry.record_hit(&fps[0], "fixed", now_ms - MS_PER_DAY as u64);
-        telemetry.record_hit(&fps[1], "fixed", now_ms - 30 * MS_PER_DAY as u64);
-        let limits = GcLimits {
-            max_cells: None,
-            max_age: Some(MaxAge {
-                telemetry: &telemetry,
-                now_ms,
-                max_age_ms: 7 * MS_PER_DAY as u64,
-            }),
-        };
-        let (kept, report) = gc(&store.to_json(), &registry, &limits).unwrap();
-        assert_eq!(kept.len(), 1, "only the recently-hit cell survives");
-        assert!(kept.contains(&fps[0]));
-        assert_eq!(report.kept, 1);
-        assert_eq!(report.dropped.len(), 2);
-        let reason_of = |fp: &str| {
-            report
-                .dropped
-                .iter()
-                .find(|d| d.fingerprint == fp)
-                .map(|d| d.reason.as_str())
-                .unwrap()
-        };
-        assert!(reason_of(&fps[1]).contains("last hit 30.0 days ago"));
-        assert!(reason_of(&fps[2]).contains("no telemetry access record"));
-        // A generous cap evicts nothing.
-        let generous = GcLimits {
-            max_cells: None,
-            max_age: Some(MaxAge {
-                telemetry: &telemetry,
-                now_ms,
-                max_age_ms: 1000 * MS_PER_DAY as u64,
-            }),
-        };
-        let (kept, report) = gc(&store.to_json(), &registry, &generous).unwrap();
-        // fps[2] has no record at all, so it still ages out — "treated
-        // as oldest" means no cap can save an untracked cell.
-        assert_eq!(kept.len(), 2);
-        assert_eq!(report.dropped.len(), 1);
-        assert_eq!(report.dropped[0].fingerprint, fps[2]);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! to an uninterrupted run's. A store has one writer at a time: a
 //! second stored run on a store a live run holds exits 2 and touches
 //! nothing, and `merge --out` checkpoints its output, so no journal of
-//! the output's former self survives to be replayed.
+//! the output's former self survives to be replayed. `gc` folds a
+//! journal into the store before collecting (a dry run writes
+//! nothing).
 
 use harness::store::{journal_path, lock_path, ResultStore};
 use harness::Journal;
@@ -223,6 +225,9 @@ fn retired_persistence_flags_are_unknown() {
         &["serve", "--checkpoint-every", "4"],
         &["gc", "--compact-journal"],
         &["plan", "--calibrate", "s.json"],
+        &["run", "--telemetry"],
+        &["shard", "--telemetry"],
+        &["gc", "--max-age-days", "30"],
     ] {
         let out = campaign_cmd(args).output().expect("campaign must spawn");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -382,4 +387,104 @@ fn merge_out_checkpoints_its_output_and_may_read_it_as_an_input() {
         std::fs::read(dir.path("both.json")).unwrap()
     );
     assert!(!lock_path(&dir.path("a.json")).exists());
+}
+
+/// Runs the reference 2-scenario campaign into `store`.
+fn run_reference(store: &std::path::Path) {
+    run_ok(&[
+        "run",
+        "--scenario",
+        SELECT[0],
+        "--scenario",
+        SELECT[1],
+        "--seed",
+        "42",
+        "--quiet",
+        "--store",
+        store.to_str().unwrap(),
+    ]);
+}
+
+#[test]
+fn gc_folds_the_journal_before_collecting() {
+    let dir = TempDir::new("journaled");
+    let store_path = dir.path("store.json");
+    run_reference(&store_path);
+    // Fabricate what a SIGKILL'd stored run leaves behind: one cell
+    // lives only in the journal.
+    let mut store = ResultStore::load(&store_path).unwrap();
+    let cells = store.len();
+    let (victim_fp, victim) = {
+        let (fp, cell) = store.iter().next().unwrap();
+        (fp.to_string(), cell.clone())
+    };
+    store.remove(&victim_fp).unwrap();
+    store.save(&store_path).unwrap();
+    let mut journal = Journal::open(&store_path, 1).unwrap();
+    journal.append(&victim_fp, &victim);
+    journal.finish().unwrap();
+    let journal_bytes = std::fs::read(journal_path(&store_path)).unwrap();
+
+    // A dry run reports over the store + journal union but writes
+    // nothing: store bytes and journal both survive.
+    let store_bytes = std::fs::read(&store_path).unwrap();
+    let stdout = run_ok(&["gc", "--store", store_path.to_str().unwrap(), "--dry-run"]);
+    assert!(stdout.contains("1 journal cells replayed"), "got: {stdout}");
+    assert!(
+        stdout.contains(&format!("gc (dry run): {cells} kept")),
+        "the dry-run report must cover the journal cell too: {stdout}"
+    );
+    assert_eq!(
+        std::fs::read(journal_path(&store_path)).unwrap(),
+        journal_bytes,
+        "a dry run must not fold the journal"
+    );
+    assert_eq!(std::fs::read(&store_path).unwrap(), store_bytes);
+
+    // A real run folds the pair and collects over the union: the
+    // journaled cell survives in the rewritten store, and the journal
+    // is gone, so no later open can replay an evicted cell back.
+    let stdout = run_ok(&["gc", "--store", store_path.to_str().unwrap()]);
+    assert!(stdout.contains("1 journal cells replayed"), "got: {stdout}");
+    assert!(!journal_path(&store_path).exists());
+    let after = ResultStore::load(&store_path).unwrap();
+    assert_eq!(after.len(), cells);
+    assert_eq!(after.get_by_fingerprint(&victim_fp), Some(&victim));
+
+    // A run killed before its first checkpoint leaves only a journal;
+    // gc folds it into a fresh checkpoint.
+    let journal_only = dir.path("journal-only.json");
+    let mut journal = Journal::open(&journal_only, 1).unwrap();
+    journal.append(&victim_fp, &victim);
+    journal.finish().unwrap();
+    run_ok(&["gc", "--store", journal_only.to_str().unwrap(), "--quiet"]);
+    assert!(!journal_path(&journal_only).exists());
+    let folded = ResultStore::load(&journal_only).unwrap();
+    assert_eq!(folded.get_by_fingerprint(&victim_fp), Some(&victim));
+
+    // An old-schema checkpoint with a journal must refuse the fold:
+    // open_resumable would load it empty, and checkpointing that would
+    // destroy the cells before gc could report them as schema drops.
+    let old = dir.path("old.json");
+    std::fs::write(
+        &old,
+        "{\n  \"schema\": 1,\n  \"cells\": {\n    \"00aa00aa00aa00aa\": {\"scenario\": \"s\", \
+         \"version\": 1, \"params\": \"n=1\", \"seed\": \"0000000000000001\", \"metrics\": \
+         {\"m\": 1}}\n  }\n}\n",
+    )
+    .unwrap();
+    std::fs::write(journal_path(&old), "").unwrap();
+    let out = campaign_cmd(&["gc", "--store", old.to_str().unwrap()])
+        .output()
+        .expect("campaign must spawn");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("schema 1") && stderr.contains("remove the journal"),
+        "got: {stderr}"
+    );
+    // Nothing was destroyed: the old store still holds its cell.
+    assert!(std::fs::read_to_string(&old)
+        .unwrap()
+        .contains("00aa00aa00aa00aa"));
 }

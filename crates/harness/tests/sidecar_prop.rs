@@ -1,20 +1,17 @@
-//! Property tests for the sidecar decoders on damaged input: the
-//! crash-resume journal and the telemetry log of a real
-//! `pipeline-domino` + `dram-refresh` run.
+//! Property tests for the journal decoder on damaged input: the
+//! crash-resume journal of a real `pipeline-domino` + `dram-refresh`
+//! run.
 //!
-//! * A journal truncated at any byte replays exactly its complete
-//!   lines (one more when the cut removed only a record's final `\n`);
-//!   bit flips and splices make [`ResultStore::load_required`] return
-//!   `Ok` or an error naming the journal — never panic.
-//! * A truncated telemetry log always loads; a bit-flipped one never
-//!   panics [`Telemetry::load`].
+//! A journal truncated at any byte replays exactly its complete lines
+//! (one more when the cut removed only a record's final `\n`); bit
+//! flips and splices make [`ResultStore::load_required`] return `Ok` or
+//! an error naming the journal — never panic.
 
 use harness::exec::{run_campaign_with, CellDomain, ExecConfig};
 use harness::matrix::Filter;
 use harness::registry::Registry;
 use harness::session::Session;
 use harness::store::{journal_path, ResultStore};
-use harness::telemetry::{telemetry_path, Telemetry};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -23,20 +20,14 @@ use std::sync::OnceLock;
 /// of cell records, and line breaks that split or merge records.
 const SPLICE_POOL: &[u8] = b"[]{}\",:\\0123456789.eE+-tfnul \n\n\xff";
 
-/// The journal and telemetry bytes of one journaled, telemetry'd run.
-struct Sidecars {
-    journal: Vec<u8>,
-    telemetry: Vec<u8>,
-}
-
-fn sidecars() -> &'static Sidecars {
-    static SIDECARS: OnceLock<Sidecars> = OnceLock::new();
-    SIDECARS.get_or_init(|| {
+/// The journal bytes of one stored run.
+fn journal() -> &'static [u8] {
+    static JOURNAL: OnceLock<Vec<u8>> = OnceLock::new();
+    JOURNAL.get_or_init(|| {
         let dir = scratch_dir("source");
         let path = dir.join("store.json");
         let session = Session {
             store: Some(&path),
-            telemetry: true,
             ..Session::default()
         };
         let mut journal = Vec::new();
@@ -66,9 +57,8 @@ fn sidecars() -> &'static Sidecars {
             .unwrap()
             .outcome
             .unwrap();
-        let telemetry = std::fs::read(telemetry_path(&path)).unwrap();
         std::fs::remove_dir_all(&dir).ok();
-        Sidecars { journal, telemetry }
+        journal
     })
 }
 
@@ -104,7 +94,7 @@ fn at(bytes: &[u8], fraction: f64) -> usize {
 
 #[test]
 fn every_journal_truncation_replays_its_complete_lines() {
-    let full = &sidecars().journal;
+    let full = journal();
     let records = full.iter().filter(|&&b| b == b'\n').count();
     assert!(records >= 2, "the source run journaled {records} cells");
     let dir = scratch_dir("journal-cut");
@@ -119,21 +109,6 @@ fn every_journal_truncation_replays_its_complete_lines() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn every_telemetry_truncation_loads() {
-    let full = &sidecars().telemetry;
-    assert!(!full.is_empty());
-    let dir = scratch_dir("telemetry-cut");
-    let path = dir.join("store.json.telemetry");
-    for cut in 0..=full.len() {
-        std::fs::write(&path, &full[..cut]).unwrap();
-        if let Err(e) = Telemetry::load(&path) {
-            panic!("cut at byte {cut}: {e}");
-        }
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -141,7 +116,7 @@ proptest! {
     fn bit_flipped_journal_never_panics(
         flips in prop::collection::vec((0.0f64..1.0, 0u32..8), 1..=8),
     ) {
-        let mut bytes = sidecars().journal.clone();
+        let mut bytes = journal().to_vec();
         for (where_, bit) in flips {
             let i = at(&bytes, where_);
             bytes[i] ^= 1 << bit;
@@ -158,7 +133,7 @@ proptest! {
             1..=4,
         ),
     ) {
-        let mut bytes = sidecars().journal.clone();
+        let mut bytes = journal().to_vec();
         for (where_, picks) in splices {
             let insert: Vec<u8> = picks.iter().map(|&i| SPLICE_POOL[i]).collect();
             let pos = at(&bytes, where_);
@@ -166,22 +141,6 @@ proptest! {
         }
         let dir = scratch_dir("journal-splice");
         let _ = resume(&dir, &bytes);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bit_flipped_telemetry_never_panics(
-        flips in prop::collection::vec((0.0f64..1.0, 0u32..8), 1..=8),
-    ) {
-        let mut bytes = sidecars().telemetry.clone();
-        for (where_, bit) in flips {
-            let i = at(&bytes, where_);
-            bytes[i] ^= 1 << bit;
-        }
-        let dir = scratch_dir("telemetry-flip");
-        let path = dir.join("store.json.telemetry");
-        std::fs::write(&path, &bytes).unwrap();
-        let _ = Telemetry::load(&path);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -4,9 +4,12 @@
 //! unleased chunks — the slow shard ends below its static lease — and
 //! the merged store must still be byte-identical to a single-process
 //! run (stolen and native results agree to the byte, verified by
-//! `merge` + `diff` + `cmp`).
+//! `merge` + `diff` + `cmp`). `merge --report` names every planned
+//! chunk exactly once, and the shards' `--trace` files hold one `cell`
+//! span per executed cell.
 
 use harness::dist::{self, LeaseDir};
+use harness::obs::trace::load_trace;
 use harness::store::ResultStore;
 use std::path::PathBuf;
 use std::process::Command;
@@ -35,11 +38,15 @@ impl Drop for TempDir {
     }
 }
 
-fn run_ok(args: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
+fn campaign(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_campaign"))
         .args(args)
         .output()
-        .expect("campaign must spawn");
+        .expect("campaign must spawn")
+}
+
+fn run_ok(args: &[&str]) -> String {
+    let out = campaign(args);
     assert!(
         out.status.success(),
         "{args:?} failed\nstdout: {}\nstderr: {}",
@@ -175,4 +182,161 @@ fn slow_shard_is_stolen_from_and_the_merge_stays_byte_identical() {
         "stolen + native results must merge byte-identically to the single-process store"
     );
     run_ok(&["diff", single.to_str().unwrap(), merged.to_str().unwrap()]);
+}
+
+#[test]
+fn merge_report_names_every_chunk_exactly_once() {
+    let dir = TempDir::new("report");
+    let manifest_path = dir.path("manifest.json");
+    let m = manifest_path.to_str().unwrap();
+    run_ok(&[
+        "plan",
+        "--scenario",
+        SELECT[0],
+        "--scenario",
+        SELECT[1],
+        "--seed",
+        "42",
+        "--shards",
+        "2",
+        "--manifest",
+        m,
+    ]);
+    // Two stealing shards, sequentially: shard 0 claims (and steals)
+    // every chunk, shard 1 finds nothing left — the degenerate but
+    // fully deterministic steal pattern. Each records its cell times
+    // in its own trace.
+    let stores: Vec<PathBuf> = (0..2)
+        .map(|i| {
+            let store = dir.path(&format!("shard{i}.json"));
+            let trace = dir.path(&format!("shard{i}.trace"));
+            run_ok(&[
+                "shard",
+                "--manifest",
+                m,
+                "--index",
+                &i.to_string(),
+                "--steal",
+                "--quiet",
+                "--trace",
+                trace.to_str().unwrap(),
+                "--store",
+                store.to_str().unwrap(),
+            ]);
+            store
+        })
+        .collect();
+    let merged = dir.path("merged.json");
+    let stdout = run_ok(&[
+        "merge",
+        "--out",
+        merged.to_str().unwrap(),
+        "--manifest",
+        m,
+        "--report",
+        stores[0].to_str().unwrap(),
+        stores[1].to_str().unwrap(),
+    ]);
+
+    // The report's contract: every planned chunk exactly once, each
+    // with a winning shard.
+    let manifest = dist::Manifest::load(&manifest_path).unwrap();
+    let registry = dist::registry_for(&manifest);
+    let chunks = dist::chunk_map(&registry, &manifest).unwrap();
+    let chunk_lines: Vec<&str> = stdout.lines().filter(|l| l.starts_with("chunk ")).collect();
+    assert_eq!(chunk_lines.len(), chunks.len(), "got:\n{stdout}");
+    for chunk in &chunks {
+        assert_eq!(
+            chunk_lines
+                .iter()
+                .filter(|l| l.starts_with(&format!("chunk {:03} ", chunk.id)))
+                .count(),
+            1,
+            "chunk {} must appear exactly once:\n{stdout}",
+            chunk.id
+        );
+    }
+    assert!(!stdout.contains("UNCLAIMED"), "got:\n{stdout}");
+    assert!(stdout.contains("0 unclaimed"), "got:\n{stdout}");
+    // Shard 0 won everything; every chunk not initially its own was a
+    // steal, and the summary's totals agree with the chunk map.
+    let stolen = chunks.iter().filter(|c| c.initial_shard != 0).count();
+    assert!(
+        stdout.contains(&format!("({stolen} stolen, 0 unclaimed)")),
+        "got:\n{stdout}"
+    );
+    assert!(stdout.contains("shard 1:"), "both shards are accounted for");
+    // The shards' wall time is in their traces: one `cell` span per
+    // executed cell, so the two traces together cover the campaign.
+    let cell_spans: usize = (0..2)
+        .map(|i| {
+            let stats = load_trace(&dir.path(&format!("shard{i}.trace"))).unwrap();
+            stats.spans.get("cell").map_or(0, |span| span.count)
+        })
+        .sum();
+    let cells: usize = chunks.iter().map(|c| c.range.len()).sum();
+    assert_eq!(cell_spans, cells, "one cell span per executed cell");
+
+    // --quiet mutes the merge summary line but never the explicitly
+    // requested report.
+    let quiet = run_ok(&[
+        "merge",
+        "--out",
+        merged.to_str().unwrap(),
+        "--manifest",
+        m,
+        "--report",
+        "--quiet",
+        stores[0].to_str().unwrap(),
+        stores[1].to_str().unwrap(),
+    ]);
+    assert!(!quiet.contains("merged "), "got:\n{quiet}");
+    assert!(quiet.contains("steal report:"), "got:\n{quiet}");
+
+    // The merged store is still byte-identical to a single-process run.
+    let single = dir.path("single.json");
+    run_ok(&[
+        "run",
+        "--scenario",
+        SELECT[0],
+        "--scenario",
+        SELECT[1],
+        "--seed",
+        "42",
+        "--quiet",
+        "--store",
+        single.to_str().unwrap(),
+    ]);
+    assert_eq!(
+        std::fs::read_to_string(&single).unwrap(),
+        std::fs::read_to_string(&merged).unwrap()
+    );
+
+    // --report without a lease directory fails loudly (exit 2), and
+    // --leases without --report is rejected as a usage error.
+    std::fs::remove_dir_all(dist::LeaseDir::for_manifest(&manifest_path)).unwrap();
+    let out = campaign(&[
+        "merge",
+        "--out",
+        merged.to_str().unwrap(),
+        "--manifest",
+        m,
+        "--report",
+        stores[0].to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("no lease directory"),
+        "got: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = campaign(&[
+        "merge",
+        "--out",
+        merged.to_str().unwrap(),
+        "--leases",
+        "x",
+        stores[0].to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(2));
 }
