@@ -476,19 +476,22 @@ fn parse(mut args: std::env::Args) -> Result<Options, String> {
 }
 
 fn main() -> ExitCode {
-    match parse(std::env::args()) {
-        Err(message) => {
-            eprintln!("{message}");
-            ExitCode::from(EXIT_ERROR)
-        }
+    let message = match parse(std::env::args()) {
+        Err(message) => message,
         Ok(options) => match run(options) {
-            Ok(code) => ExitCode::from(code),
-            Err(message) => {
-                eprintln!("campaign: {message}");
-                ExitCode::from(EXIT_ERROR)
-            }
+            Ok(code) => return ExitCode::from(code),
+            Err(message) => format!("campaign: {message}"),
         },
-    }
+    };
+    warn(message);
+    ExitCode::from(EXIT_ERROR)
+}
+
+/// Writes one line to stderr. Not `eprintln!`, which panics (exit 101)
+/// when stderr is a closed pipe: the exit code stays the command's
+/// whether or not anyone reads its diagnostics.
+fn warn(message: impl std::fmt::Display) {
+    let _ = writeln!(std::io::stderr(), "{message}");
 }
 
 fn run(options: Options) -> Result<u8, String> {
@@ -795,13 +798,13 @@ fn note_open(store: &Path, replayed: usize, stale_lock: Option<&LockInfo>) {
         );
     }
     if let Some(info) = stale_lock {
-        eprintln!(
+        warn(format_args!(
             "note: stale store lock at {} (dead pid {}, `campaign {}`): readers ignore it, \
              writers break it",
             store::lock_path(store).display(),
             info.pid,
             info.cmd,
-        );
+        ));
     }
 }
 
@@ -844,7 +847,7 @@ fn run_session<T>(
     };
     let persisted = session.run(store, runner).map_err(|e| e.to_string())?;
     if options.progress {
-        eprintln!();
+        warn("");
     }
     if let (Some(path), false, n @ 1..) = (&options.store, options.quiet, persisted.compactions) {
         println!(
@@ -868,7 +871,7 @@ fn finish_trace(obs: Option<&Obs>, quiet: bool) {
             }
         }
         Ok(None) => {}
-        Err(e) => eprintln!("campaign: warning: trace incomplete: {e}"),
+        Err(e) => warn(format_args!("campaign: warning: trace incomplete: {e}")),
     }
 }
 

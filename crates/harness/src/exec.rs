@@ -18,7 +18,9 @@
 //!
 //! A cell that panics is contained like a cell that errors: the panic
 //! is caught at the cell and becomes [`ScenarioError::Panicked`], so
-//! its siblings still complete and persist.
+//! its siblings still complete and persist. So is a cell with a NaN or
+//! infinite metric ([`ScenarioError::NonFiniteMetric`]), which no
+//! store could load back.
 
 use crate::matrix::Filter;
 use crate::registry::Registry;
@@ -174,9 +176,11 @@ fn cell_delay() -> std::time::Duration {
 /// `select` lists scenario ids (empty = every registered scenario;
 /// repeated ids are deduplicated, first occurrence wins the order).
 /// Memoized cells are taken from `store`; fresh results are inserted
-/// into it. Scenario errors (panics included, as
-/// [`ScenarioError::Panicked`]) abort the campaign deterministically
-/// (the error of the lowest-indexed failing cell wins).
+/// into it. Scenario errors (panics and non-finite metrics included,
+/// as [`ScenarioError::Panicked`] and
+/// [`ScenarioError::NonFiniteMetric`]) abort the campaign
+/// deterministically (the error of the lowest-indexed failing cell
+/// wins).
 pub fn run_campaign(
     registry: &Registry,
     select: &[String],
@@ -451,13 +455,17 @@ pub fn run_campaign_with(
 
 /// Evaluates one cell with its panic caught: a panicking
 /// `Scenario::run` becomes [`ScenarioError::Panicked`] naming the cell,
-/// so it fails like an erroring cell (never journaled or memoized) and
-/// its siblings complete. Asserting unwind safety is sound because a
-/// panicked evaluation leaves nothing behind: scenarios are pure
-/// functions of `(params, seed)`, and the executor keeps only the error.
+/// and a NaN or infinite metric (which a store would save as `null`
+/// and then fail to load) [`ScenarioError::NonFiniteMetric`]. Either
+/// way the cell fails like an erroring cell (never journaled or
+/// memoized) and its siblings complete. Asserting unwind safety is
+/// sound because a panicked evaluation leaves nothing behind: scenarios
+/// are pure functions of `(params, seed)`, and the executor keeps only
+/// the error.
 fn run_contained(space: &CampaignSpace<'_>, cell: &Cell) -> Result<CellResult, ScenarioError> {
     let scenario = space.scenario(cell.scenario);
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    let id = || space.specs()[cell.scenario].id.to_string();
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         scenario.run(&cell.params, cell.seed)
     }))
     .unwrap_or_else(|payload| {
@@ -467,11 +475,19 @@ fn run_contained(space: &CampaignSpace<'_>, cell: &Cell) -> Result<CellResult, S
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "non-string panic payload".to_string());
         Err(ScenarioError::Panicked {
-            scenario: space.specs()[cell.scenario].id.to_string(),
+            scenario: id(),
             params: cell.params.key(),
             message,
         })
-    })
+    })?;
+    match result.metrics.iter().find(|(_, v)| !v.is_finite()) {
+        None => Ok(result),
+        Some((metric, _)) => Err(ScenarioError::NonFiniteMetric {
+            scenario: id(),
+            params: cell.params.key(),
+            metric: metric.clone(),
+        }),
+    }
 }
 
 /// Folds each replicate group of a completed full-domain campaign into

@@ -1,15 +1,23 @@
 //! A minimal, dependency-free JSON value with deterministic rendering
 //! and a recursive-descent parser.
 //!
-//! The result store and campaign serialization need exactly three
-//! properties from their wire format: (1) byte-stable output — equal
-//! campaigns render to equal bytes, so golden tests and memoization
-//! fingerprints are meaningful; (2) round-tripping — a store written by
-//! one run loads in the next; (3) zero external dependencies. Object
-//! members keep insertion order (no hash-map scrambling), numbers
-//! render integers without a fractional part and everything else via
-//! Rust's shortest-roundtrip `f64` formatting.
+//! Manifests, traces, lock files and serve requests go through the
+//! [`Json`] tree. Result stores do not: `store::codec` renders and
+//! reads the store schema directly, through this module's lexers
+//! (`parse_members`, `parse_value`) and writer pieces (`write_key`,
+//! `write_close`, `write_num`, `write_str`). So a store's bytes are
+//! exactly its tree's (`ResultStore::to_json`, kept as `campaign gc`'s
+//! document form and as the codec's test oracle).
+//!
+//! Every format needs the same three properties: (1) byte-stable
+//! output — equal campaigns render to equal bytes, so golden tests and
+//! memoization fingerprints are meaningful; (2) round-tripping — a
+//! store written by one run loads in the next; (3) zero external
+//! dependencies. Object members keep insertion order (no hash-map
+//! scrambling), numbers render integers without a fractional part and
+//! everything else via Rust's shortest-roundtrip `f64` formatting.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Deepest array/object nesting [`Json::parse`] accepts. Far above any
@@ -76,7 +84,7 @@ impl Json {
     /// the byte-stable on-disk format.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
@@ -86,11 +94,13 @@ impl Json {
     /// line rather than by byte).
     pub fn compact(&self) -> String {
         let mut out = String::new();
-        self.write_compact(&mut out);
+        self.write(&mut out, None);
         out
     }
 
-    fn write_compact(&self, out: &mut String) {
+    /// Renders pretty at nesting level `indent`, or compact with `None`.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
+        let inner = indent.map(|i| i + 1);
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -99,71 +109,18 @@ impl Json {
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_compact(out);
+                    write_item(out, indent, i == 0);
+                    item.write(out, inner);
                 }
-                out.push(']');
+                write_close(out, indent, items.is_empty(), ']');
             }
             Json::Obj(members) => {
                 out.push('{');
                 for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_str(out, k);
-                    out.push(':');
-                    v.write_compact(out);
+                    write_key(out, indent, i == 0, k);
+                    v.write(out, inner);
                 }
-                out.push('}');
-            }
-        }
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => write_num(out, *x),
-            Json::Str(s) => write_str(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    pad(out, indent + 1);
-                    item.write(out, indent + 1);
-                }
-                out.push('\n');
-                pad(out, indent);
-                out.push(']');
-            }
-            Json::Obj(members) => {
-                if members.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    pad(out, indent + 1);
-                    write_str(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                }
-                out.push('\n');
-                pad(out, indent);
-                out.push('}');
+                write_close(out, indent, members.is_empty(), '}');
             }
         }
     }
@@ -179,14 +136,7 @@ impl Json {
     /// Parses a JSON document. Nesting deeper than [`MAX_DEPTH`] is an
     /// error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(value)
+        parse_document(text, |bytes, pos| parse_value(bytes, pos, 0))
     }
 }
 
@@ -196,10 +146,43 @@ fn pad(out: &mut String, indent: usize) {
     }
 }
 
-fn write_num(out: &mut String, x: f64) {
+/// Opens an array item of a container at nesting level `indent`
+/// (pretty) or on one line (`None`): the comma before every item but
+/// the first, then the pretty layout's line break and padding.
+fn write_item(out: &mut String, indent: Option<usize>, first: bool) {
+    if !first {
+        out.push(',');
+    }
+    if let Some(indent) = indent {
+        out.push('\n');
+        pad(out, indent + 1);
+    }
+}
+
+/// Opens an object member: [`write_item`], then the key and its colon.
+/// The store codec renders its fixed schema through this and
+/// [`write_close`], so its bytes are the tree's by construction.
+pub(crate) fn write_key(out: &mut String, indent: Option<usize>, first: bool, key: &str) {
+    write_item(out, indent, first);
+    write_str(out, key);
+    out.push_str(if indent.is_some() { ": " } else { ":" });
+}
+
+/// Closes a container opened at nesting level `indent`; an empty one
+/// stays on its line (`{}`, `[]`).
+pub(crate) fn write_close(out: &mut String, indent: Option<usize>, empty: bool, close: char) {
+    if let (Some(indent), false) = (indent, empty) {
+        out.push('\n');
+        pad(out, indent);
+    }
+    out.push(close);
+}
+
+pub(crate) fn write_num(out: &mut String, x: f64) {
     if !x.is_finite() {
-        // JSON has no NaN/Inf; the store never produces them (metrics
-        // that do not exist are omitted), but render defensively.
+        // JSON has no NaN/Inf, and a `null` metric would not load
+        // back, so the executor fails a cell with a non-finite metric
+        // before it reaches a store; render defensively anyway.
         out.push_str("null");
     } else if x == x.trunc() && x.abs() < 9e15 {
         let _ = write!(out, "{}", x as i64);
@@ -208,28 +191,54 @@ fn write_num(out: &mut String, x: f64) {
     }
 }
 
-fn write_str(out: &mut String, s: &str) {
+pub(crate) fn write_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    // Copy the runs between escapes whole: every escaped byte is ASCII,
+    // so each run starts and ends on a char boundary.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
+pub(crate) fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
     }
+}
+
+/// Parses a whole document whose top-level value `value` reads, then
+/// rejects trailing garbage — [`Json::parse`] and the store codec's
+/// direct readers share this frame.
+pub(crate) fn parse_document<T>(
+    text: &str,
+    value: impl FnOnce(&[u8], &mut usize) -> Result<T, String>,
+) -> Result<T, String> {
+    let bytes = text.as_bytes();
+    let mut pos = 0usize;
+    let value = value(bytes, &mut pos)?;
+    skip_ws(bytes, &mut pos);
+    if pos != bytes.len() {
+        return Err(format!("trailing garbage at byte {pos}"));
+    }
+    Ok(value)
 }
 
 fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
@@ -242,7 +251,7 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
 }
 
 /// Parses one value that sits inside `depth` enclosing arrays/objects.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+pub(crate) fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
@@ -251,7 +260,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
         }
         Some(b'{') => parse_obj(bytes, pos, depth + 1),
         Some(b'[') => parse_arr(bytes, pos, depth + 1),
-        Some(b'"') => Ok(Json::Str(parse_str(bytes, pos)?)),
+        Some(b'"') => Ok(Json::Str(lex_str(bytes, pos)?.into_owned())),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -280,6 +289,21 @@ fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         .and_then(|s| s.parse::<f64>().ok())
         .map(Json::Num)
         .ok_or_else(|| format!("invalid number at byte {start}"))
+}
+
+/// Lexes the string at `pos`, borrowed from the input when it holds no
+/// escape; anything else (and every error) takes [`parse_str`].
+pub(crate) fn lex_str<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<Cow<'a, str>, String> {
+    if bytes.get(*pos) == Some(&b'"') {
+        let body = &bytes[*pos + 1..];
+        if let Some(end) = body.iter().position(|&b| b == b'"' || b == b'\\') {
+            if let (b'"', Ok(s)) = (body[end], std::str::from_utf8(&body[..end])) {
+                *pos += end + 2;
+                return Ok(Cow::Borrowed(s));
+            }
+        }
+    }
+    parse_str(bytes, pos).map(Cow::Owned)
 }
 
 fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -385,26 +409,41 @@ fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String
 }
 
 fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
+    parse_members(bytes, pos, |key, pos| {
+        members.push((key.into_owned(), parse_value(bytes, pos, depth)?));
+        Ok(())
+    })?;
+    Ok(Json::Obj(members))
+}
+
+/// Walks the object at `pos` with the object grammar and errors of
+/// [`Json::parse`], handing `member` each key with `pos` at its value,
+/// which `member` must consume. The store codec reads its schema
+/// through this without building a tree.
+pub(crate) fn parse_members<'a>(
+    bytes: &'a [u8],
+    pos: &mut usize,
+    mut member: impl FnMut(Cow<'a, str>, &mut usize) -> Result<(), String>,
+) -> Result<(), String> {
+    expect(bytes, pos, b'{')?;
     skip_ws(bytes, pos);
     if bytes.get(*pos) == Some(&b'}') {
         *pos += 1;
-        return Ok(Json::Obj(members));
+        return Ok(());
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_str(bytes, pos)?;
+        let key = lex_str(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos, depth)?;
-        members.push((key, value));
+        member(key, pos)?;
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b'}') => {
                 *pos += 1;
-                return Ok(Json::Obj(members));
+                return Ok(());
             }
             _ => return Err(format!("expected `,` or `}}` at byte {}", *pos)),
         }

@@ -36,7 +36,9 @@
 //!   ran on one thread or sixteen. [`exec::ExecHooks`] stream one
 //!   [`exec::CellEvent`] (progress counts) per completed cell and every
 //!   fresh result out as they happen. A panicking cell is contained:
-//!   it fails as [`ScenarioError::Panicked`], like any erroring cell.
+//!   it fails as [`ScenarioError::Panicked`], like any erroring cell,
+//!   and so does a cell with a NaN or infinite metric
+//!   ([`ScenarioError::NonFiniteMetric`]).
 //! * [`store`] — the memoizing [`ResultStore`]: completed cells are
 //!   keyed by a fingerprint of `(schema, scenario, params, seed)` and
 //!   persist as deterministic JSON; re-running a campaign executes only

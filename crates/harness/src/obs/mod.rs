@@ -155,7 +155,7 @@ impl Obs {
             }
         }
         let mut log = AppendLog::open(path.to_path_buf(), TRACE_BATCH)?;
-        log.append_line("[");
+        log.append_line(|out| out.push('['));
         let obs = Obs::new();
         {
             let mut state = obs.inner.lock().unwrap();
@@ -193,7 +193,11 @@ impl Obs {
         if state.trace.is_some() {
             let line = trace::event_line(name, cat, start_ns, dur_ns, trace_tid());
             state.events += 1;
-            state.trace.as_mut().unwrap().append_line(&line);
+            state
+                .trace
+                .as_mut()
+                .unwrap()
+                .append_line(|out| out.push_str(&line));
         }
     }
 

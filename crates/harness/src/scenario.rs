@@ -208,6 +208,17 @@ pub enum ScenarioError {
         /// The panic message.
         message: String,
     },
+    /// A cell's `Scenario::run` returned a NaN or infinite metric, which
+    /// JSON cannot hold: the executor fails the cell like a panicking
+    /// one, so it is never journaled or memoized.
+    NonFiniteMetric {
+        /// Scenario id.
+        scenario: String,
+        /// The cell's canonical parameter key (`a=1,b=2`).
+        params: String,
+        /// The first non-finite metric's name.
+        metric: String,
+    },
 }
 
 impl fmt::Display for ScenarioError {
@@ -234,6 +245,14 @@ impl fmt::Display for ScenarioError {
             } => write!(
                 f,
                 "scenario `{scenario}` panicked on cell {params}: {message}"
+            ),
+            ScenarioError::NonFiniteMetric {
+                scenario,
+                params,
+                metric,
+            } => write!(
+                f,
+                "scenario `{scenario}` gave non-finite metric `{metric}` on cell {params}"
             ),
         }
     }

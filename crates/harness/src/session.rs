@@ -129,10 +129,18 @@ mod tests {
     use crate::store::journal_path;
     use std::path::PathBuf;
 
-    /// Fails on the cell `a=2` (with an error, or a panic when
-    /// `panics`); succeeds on `a=1` and `a=3`.
+    /// How the `Flaky` cell `a=2` fails.
+    #[derive(Clone, Copy)]
+    enum Failure {
+        Error,
+        Panic,
+        /// A NaN metric after a finite one.
+        NonFinite,
+    }
+
+    /// Fails on the cell `a=2`; succeeds on `a=1` and `a=3`.
     struct Flaky {
-        panics: bool,
+        failure: Failure,
     }
 
     impl Scenario for Flaky {
@@ -154,13 +162,16 @@ mod tests {
         }
 
         fn run(&self, params: &Params, _seed: u64) -> Result<CellResult, ScenarioError> {
-            match params.get_u64("a")? {
-                2 if self.panics => panic!("cell a=2 blew up"),
-                2 => Err(ScenarioError::BadParam {
+            match (params.get_u64("a")?, self.failure) {
+                (2, Failure::Error) => Err(ScenarioError::BadParam {
                     axis: "a".into(),
                     value: "2".into(),
                 }),
-                a => Ok(CellResult::new(vec![("value", a as f64)])),
+                (2, Failure::Panic) => panic!("cell a=2 blew up"),
+                (2, Failure::NonFinite) => {
+                    Ok(CellResult::new(vec![("value", 2.0), ("ratio", f64::NAN)]))
+                }
+                (a, _) => Ok(CellResult::new(vec![("value", a as f64)])),
             }
         }
     }
@@ -183,9 +194,9 @@ mod tests {
         journal_lines: Vec<String>,
     }
 
-    fn run_flaky(path: &Path, panics: bool, threads: usize) -> FlakyRun {
+    fn run_flaky(path: &Path, failure: Failure, threads: usize) -> FlakyRun {
         let mut registry = Registry::empty();
-        registry.register(Box::new(Flaky { panics }));
+        registry.register(Box::new(Flaky { failure }));
         let config = ExecConfig {
             threads,
             seed: 5,
@@ -231,10 +242,10 @@ mod tests {
     /// Runs the flaky campaign twice into one store and checks that the
     /// failing cell never reaches the disk while its siblings do, then
     /// memoize. Returns the first run's error.
-    fn failed_cell_is_contained(tag: &str, panics: bool, threads: usize) -> ScenarioError {
+    fn failed_cell_is_contained(tag: &str, failure: Failure, threads: usize) -> ScenarioError {
         let dir = tempdir(tag);
         let path = dir.join("store.json");
-        let first = run_flaky(&path, panics, threads);
+        let first = run_flaky(&path, failure, threads);
         // One event per cell, the failed one counted as executed.
         assert_eq!(first.events.len(), 3);
         assert_eq!(first.events.iter().max(), Some(&(3, 0)));
@@ -253,7 +264,7 @@ mod tests {
         assert!(first.journal_lines.iter().all(|l| !l.contains("a=2")));
 
         // A rerun memoizes both siblings and retries the failed cell.
-        let again = run_flaky(&path, panics, threads);
+        let again = run_flaky(&path, failure, threads);
         assert_eq!(again.error.to_string(), first.error.to_string());
         let max_executed = again.events.iter().map(|e| e.0).max();
         let max_memoized = again.events.iter().map(|e| e.1).max();
@@ -265,7 +276,7 @@ mod tests {
     #[test]
     fn failing_cell_persists_its_siblings() {
         for threads in [1, 2] {
-            let err = failed_cell_is_contained(&format!("flaky{threads}"), false, threads);
+            let err = failed_cell_is_contained(&format!("flaky{threads}"), Failure::Error, threads);
             assert!(matches!(err, ScenarioError::BadParam { .. }), "{err}");
         }
     }
@@ -273,7 +284,8 @@ mod tests {
     #[test]
     fn panicking_cell_persists_its_siblings() {
         for threads in [1, 2] {
-            let err = failed_cell_is_contained(&format!("panicky{threads}"), true, threads);
+            let err =
+                failed_cell_is_contained(&format!("panicky{threads}"), Failure::Panic, threads);
             let ScenarioError::Panicked {
                 scenario,
                 params,
@@ -285,6 +297,29 @@ mod tests {
             assert_eq!((scenario.as_str(), params.as_str()), ("flaky", "a=2"));
             assert_eq!(message, "cell a=2 blew up");
             assert!(err.to_string().contains("`flaky` panicked on cell a=2"));
+        }
+    }
+
+    #[test]
+    fn non_finite_metric_cell_persists_its_siblings() {
+        for threads in [1, 2] {
+            let err = failed_cell_is_contained(
+                &format!("nonfinite{threads}"),
+                Failure::NonFinite,
+                threads,
+            );
+            assert_eq!(
+                err,
+                ScenarioError::NonFiniteMetric {
+                    scenario: "flaky".into(),
+                    params: "a=2".into(),
+                    metric: "ratio".into(),
+                }
+            );
+            assert_eq!(
+                err.to_string(),
+                "scenario `flaky` gave non-finite metric `ratio` on cell a=2"
+            );
         }
     }
 }

@@ -6,8 +6,9 @@
 //! against the same store therefore executes only cells it has never
 //! seen — a second identical run executes zero cells — while any change
 //! to a scenario's identity, parameters or seeding naturally misses.
-//! The store serializes to the deterministic JSON of [`crate::json`],
-//! sorted by fingerprint, so equal stores are byte-equal on disk.
+//! The store serializes to deterministic JSON, sorted by fingerprint,
+//! so equal stores are byte-equal on disk; [`codec`] writes and reads
+//! it directly, with no [`Json`] tree in between.
 //!
 //! On disk a store is a *checkpoint + journal* pair: the checkpoint is
 //! the atomic full snapshot, and the append-only [`Journal`] beside it
@@ -32,6 +33,7 @@
 //! JSON lines — it is an append-only interchange artifact, and both
 //! checkpoint formats replay it identically.
 
+pub mod codec;
 pub mod columnar;
 mod lock;
 
@@ -156,8 +158,10 @@ pub struct StoredCell {
 }
 
 impl StoredCell {
-    /// The cell's canonical JSON object — the value stored under its
-    /// fingerprint in the checkpoint file and in journal lines.
+    /// The cell's canonical JSON object as a tree: the value stored
+    /// under its fingerprint in the checkpoint file and in journal
+    /// lines. Stores and journals are written by [`codec`] without it;
+    /// this form is `campaign gc`'s document and the codec's oracle.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
             ("scenario".into(), Json::str(&self.scenario)),
@@ -184,7 +188,9 @@ impl StoredCell {
         Json::Obj(fields)
     }
 
-    /// Parses one cell object (`fp` only names the cell in errors).
+    /// Parses one cell object (`fp` only names the cell in errors): the
+    /// tree form of [`codec`]'s cell reader, kept for `campaign gc` and
+    /// as its oracle.
     pub fn from_json(fp: &str, cell: &Json) -> Result<StoredCell, ScenarioError> {
         let bad = |what: &str| ScenarioError::Store(format!("cell {fp}: bad {what}"));
         let scenario = cell
@@ -273,7 +279,7 @@ pub fn fingerprint(scenario_id: &str, version: u32, params: &Params, seed: u64) 
 }
 
 /// The memoizing store: fingerprint → stored cell.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResultStore {
     cells: BTreeMap<String, StoredCell>,
 }
@@ -375,7 +381,9 @@ impl ResultStore {
         ResultStore { cells }
     }
 
-    /// Serializes the store (sorted by fingerprint — deterministic).
+    /// The store as a [`Json`] tree (sorted by fingerprint —
+    /// deterministic): `campaign gc`'s document form, and the oracle
+    /// whose `pretty()` [`codec::write_store`] must equal byte for byte.
     pub fn to_json(&self) -> Json {
         self.to_json_with_schema(SCHEMA_VERSION)
     }
@@ -400,8 +408,11 @@ impl ResultStore {
         ])
     }
 
-    /// Deserializes a store; entries from other schema versions are
-    /// dropped (they would be recomputed anyway).
+    /// Deserializes a store from its [`Json`] tree; entries from other
+    /// schema versions are dropped (they would be recomputed anyway).
+    /// `campaign gc` reads its document through this, and it is the
+    /// oracle of [`codec::read_store`], which loads stores without a
+    /// tree.
     pub fn from_json(doc: &Json) -> Result<ResultStore, ScenarioError> {
         let schema = doc.get("schema").and_then(Json::as_f64).unwrap_or(0.0) as u32;
         if schema != SCHEMA_VERSION {
@@ -471,10 +482,11 @@ impl ResultStore {
                     path.display()
                 ))
             })?;
-            let doc = Json::parse(&text)
-                .map_err(|e| ScenarioError::Store(format!("json store {}: {e}", path.display())))?;
+            let store = codec::read_store(&text).map_err(|e| {
+                ScenarioError::Store(format!("json store {}: {e}", path.display()))
+            })??;
             Ok(OpenedStore {
-                store: ResultStore::from_json(&doc)?,
+                store,
                 ..OpenedStore::default()
             })
         }
@@ -532,7 +544,7 @@ impl ResultStore {
     ) -> Result<(), ScenarioError> {
         let _span = obs.map(|o| o.span("store/save", "store"));
         let bytes = match format {
-            StoreFormat::Json => self.to_json().pretty().into_bytes(),
+            StoreFormat::Json => codec::write_store(self).into_bytes(),
             StoreFormat::Binary => columnar::encode(self),
         };
         write_atomic(path, &bytes)
@@ -578,7 +590,7 @@ impl ResultStore {
             .map_err(|e| ScenarioError::Store(format!("read {}: {e}", journal.display())))?;
         let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
         for (i, line) in lines.iter().enumerate() {
-            match Json::parse(line).and_then(|doc| parse_journal_line(&doc)) {
+            match codec::read_journal_line(line) {
                 Ok(Some((fp, cell))) => {
                     opened.store.insert_cell(fp, cell);
                     opened.replayed += 1;
@@ -660,23 +672,6 @@ pub fn journal_path(store: &Path) -> std::path::PathBuf {
     store.with_file_name(name)
 }
 
-/// Parses one journal line. `Ok(None)` means the line belongs to
-/// another store schema (skipped, like old-schema checkpoint cells).
-fn parse_journal_line(doc: &Json) -> Result<Option<(String, StoredCell)>, String> {
-    let schema = doc.get("schema").and_then(Json::as_f64).unwrap_or(0.0) as u32;
-    if schema != SCHEMA_VERSION {
-        return Ok(None);
-    }
-    let fp = doc
-        .get("fp")
-        .and_then(Json::as_str)
-        .ok_or("journal line without fp")?
-        .to_string();
-    let cell = doc.get("cell").ok_or("journal line without cell")?;
-    let cell = StoredCell::from_json(&fp, cell).map_err(|e| e.to_string())?;
-    Ok(Some((fp, cell)))
-}
-
 /// The append-only log machinery behind the crash-resume [`Journal`]
 /// and the `--trace` file ([`crate::obs::Obs`]): a line-oriented
 /// file opened for append with the torn final line *healed* (truncated
@@ -693,6 +688,8 @@ pub(crate) struct AppendLog {
     /// at open, incremented per append) — the mid-run compaction
     /// trigger reads this.
     lines: usize,
+    /// The line being appended, reused from one append to the next.
+    line: String,
     error: Option<String>,
     /// Optional span recorder: the journal's appends and fsync batches
     /// are recorded as `journal/append` / `journal/fsync` spans. The
@@ -755,6 +752,7 @@ impl AppendLog {
             batch: batch.max(1),
             pending: 0,
             lines,
+            line: String::new(),
             error: None,
             obs: None,
         })
@@ -772,16 +770,18 @@ impl AppendLog {
         self.lines
     }
 
-    /// Appends one record (a newline is added). Failures are recorded,
-    /// not returned — check [`AppendLog::finish`].
-    pub(crate) fn append_line(&mut self, line: &str) {
+    /// Appends one record, which `render` writes into the log's reused
+    /// line buffer (the newline is added). Failures are recorded, not
+    /// returned — check [`AppendLog::finish`].
+    pub(crate) fn append_line(&mut self, render: impl FnOnce(&mut String)) {
         if self.error.is_some() {
             return;
         }
+        self.line.clear();
+        render(&mut self.line);
+        self.line.push('\n');
         let start_ns = self.obs.is_some().then(crate::obs::monotonic_ns);
-        let mut text = line.to_string();
-        text.push('\n');
-        if let Err(e) = std::io::Write::write_all(&mut self.file, text.as_bytes()) {
+        if let Err(e) = std::io::Write::write_all(&mut self.file, self.line.as_bytes()) {
             self.error = Some(format!("append {}: {e}", self.path.display()));
             return;
         }
@@ -876,12 +876,8 @@ impl Journal {
     /// Appends one completed cell. Failures are recorded, not returned
     /// — check [`Journal::finish`].
     pub fn append(&mut self, fp: &str, cell: &StoredCell) {
-        let line = Json::Obj(vec![
-            ("schema".into(), Json::Num(SCHEMA_VERSION as f64)),
-            ("fp".into(), Json::str(fp)),
-            ("cell".into(), cell.to_json()),
-        ]);
-        self.log.append_line(&line.compact());
+        self.log
+            .append_line(|out| codec::write_journal_line(out, fp, cell));
     }
 
     /// Final sync; surfaces the first I/O failure of the journal's

@@ -438,6 +438,36 @@ fn cli_errors_exit_2_with_diagnostics() {
 }
 
 #[test]
+fn a_closed_stderr_pipe_keeps_the_exit_code() {
+    let cases: &[(&[&str], i32)] = &[
+        (&["run", "--bogus"], 2),
+        (
+            &[
+                "run",
+                "--scenario",
+                "pipeline-domino",
+                "--quiet",
+                "--progress",
+            ],
+            0,
+        ),
+    ];
+    for &(args, code) in cases {
+        // The read end is gone before the spawn, so every stderr write
+        // meets a broken pipe: no race with a reader closing.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let status = Command::new(env!("CARGO_BIN_EXE_campaign"))
+            .args(args)
+            .stdout(std::process::Stdio::null())
+            .stderr(writer)
+            .status()
+            .expect("campaign binary must spawn");
+        assert_eq!(status.code(), Some(code), "{args:?}");
+    }
+}
+
+#[test]
 fn cli_plan_over_more_shards_than_chunks_lists_only_leased_shards() {
     // Nothing in planning may allocate per shard.
     let dir = TempDir::new("huge");
