@@ -7,7 +7,7 @@
 //! cargo run -p harness --bin campaign -- list
 //! cargo run -p harness --bin campaign -- run [--scenario ID]... [--filter AXIS=VALUE]...
 //!         [--threads N] [--seed S] [--corpus-size N] [--store PATH] [--json PATH]
-//!         [--csv PATH] [--quiet] [--compact-journal-over N] [--progress]
+//!         [--csv PATH] [--quiet] [--progress]
 //! cargo run -p harness --bin campaign -- report [same flags as run]
 //! cargo run -p harness --bin campaign -- gen [--seed S] [--corpus-size N]
 //!         [--filter A=V]... [--disasm]
@@ -16,16 +16,16 @@
 //!         [--replicates N]
 //! cargo run -p harness --bin campaign -- shard --manifest PATH --index I
 //!         [--store PATH] [--threads N] [--json PATH] [--csv PATH] [--quiet]
-//!         [--steal] [--leases DIR] [--compact-journal-over N] [--progress]
+//!         [--steal] [--leases DIR] [--progress]
 //! cargo run -p harness --bin campaign -- merge --out PATH [--manifest PATH] STORE...
 //! cargo run -p harness --bin campaign -- diff BASELINE COMPARED [--tol METRIC=EPS]...
 //!         [--tol-default EPS] [--quiet]
 //! cargo run -p harness --bin campaign -- gc --store PATH [--dry-run] [--quiet]
-//!         [--seed S] [--corpus-size N] [--max-cells N]
+//!         [--seed S] [--corpus-size N]
 //! cargo run -p harness --bin campaign -- trace FILE
 //! cargo run -p harness --bin campaign -- serve --store PATH [--addr HOST:PORT]
-//!         [--accept-pool N] [--threads N] [--compact-journal-over N]
-//!         [--slowlog-over-us N] [--port-file PATH]
+//!         [--accept-pool N] [--threads N] [--slowlog-over-us N]
+//!         [--port-file PATH]
 //!         [--trace FILE] [--quiet]
 //! cargo run -p harness --bin campaign -- top (--addr HOST:PORT | --port-file PATH)
 //!         [--interval-ms N] [--once]
@@ -81,11 +81,8 @@ struct Options {
     disasm: bool,
     // lifecycle flags
     dry_run: bool,
-    max_cells: Option<usize>,
     // convert flags
     to: Option<String>,
-    // journal flags
-    compact_journal_over: Option<usize>,
     progress: bool,
     // serve flags
     addr: Option<String>,
@@ -174,11 +171,6 @@ crash-resumable execution (run/report/shard with --store):
   (diff, merge inputs, convert's input, gc --dry-run), exits 2 naming
   the holder; a dead holder's lock is noted and broken
   --progress         live progress heartbeats on stderr
-  --compact-journal-over N  (needs --store) fold the journal into the
-                     checkpoint mid-run whenever it exceeds N lines, so
-                     a very long campaign's replay cost stays bounded;
-                     the final store bytes are identical with and
-                     without it
 
 observability (run/report/shard/merge):
   --trace FILE       record named monotonic-clock spans (plan, decode,
@@ -247,15 +239,12 @@ distributed campaigns:
 
 result-store lifecycle:
   gc     --store PATH [--dry-run] [--seed S] [--corpus-size N]
-         [--max-cells N]
          drop cells the current registry can no longer serve (stale
          schema, unregistered scenario, old implementation version);
-         --max-cells additionally evicts down
-         to N cells (oldest implementation version first, then stable
-         fingerprint order); --dry-run reports without rewriting the
-         store. A journal beside the store is folded in first, so its
-         cells are collected too (a dry run folds only in memory); an
-         old-schema store with a journal is refused
+         --dry-run reports without rewriting the store. A journal
+         beside the store is folded in first, so its cells are
+         collected too (a dry run folds only in memory); an old-schema
+         store with a journal is refused
   convert --store PATH --to bin|json [--out PATH]
          rewrite a result store in the other checkpoint format: `bin`
          is the binary columnar layout (interned strings, fixed-width
@@ -271,8 +260,8 @@ result-store lifecycle:
 
 always-on campaign serving:
   serve  --store PATH [--addr HOST:PORT] [--accept-pool N] [--threads N]
-         [--compact-journal-over N] [--slowlog-over-us N]
-         [--port-file PATH] [--trace FILE] [--quiet]
+         [--slowlog-over-us N] [--port-file PATH] [--trace FILE]
+         [--quiet]
          run the campaign daemon: open the store resumably (journal
          replay included), build a hot in-memory index over its cells
          and answer a line-delimited JSON protocol over TCP — one
@@ -320,9 +309,7 @@ fn parse(mut args: std::env::Args) -> Result<Options, String> {
         corpus_size: None,
         disasm: false,
         dry_run: false,
-        max_cells: None,
         to: None,
-        compact_journal_over: None,
         progress: false,
         addr: None,
         accept_pool: None,
@@ -384,21 +371,9 @@ fn parse(mut args: std::env::Args) -> Result<Options, String> {
             }
             "--disasm" => options.disasm = true,
             "--dry-run" => options.dry_run = true,
-            "--max-cells" => {
-                options.max_cells = Some(number("--max-cells", value("--max-cells")?)? as usize)
-            }
             "--to" => options.to = Some(value("--to")?),
             "--trace" => options.trace = Some(PathBuf::from(value("--trace")?)),
             "--report" => options.steal_report = true,
-            "--compact-journal-over" => {
-                options.compact_journal_over = Some(
-                    number("--compact-journal-over", value("--compact-journal-over")?)
-                        .ok()
-                        .filter(|n| *n >= 1)
-                        .ok_or("--compact-journal-over needs an integer >= 1")?
-                        as usize,
-                )
-            }
             "--progress" => options.progress = true,
             "--addr" => options.addr = Some(value("--addr")?),
             "--accept-pool" => {
@@ -510,7 +485,6 @@ fn run(options: Options) -> Result<u8, String> {
             "--json",
             "--csv",
             "--quiet",
-            "--compact-journal-over",
             "--progress",
             "--trace",
             "--replicates",
@@ -537,7 +511,6 @@ fn run(options: Options) -> Result<u8, String> {
             "--quiet",
             "--steal",
             "--leases",
-            "--compact-journal-over",
             "--progress",
             "--trace",
         ],
@@ -552,21 +525,13 @@ fn run(options: Options) -> Result<u8, String> {
         ],
         "trace" => &[],
         "diff" => &["--tol", "--tol-default", "--rel", "--sigmas", "--quiet"],
-        "gc" => &[
-            "--store",
-            "--dry-run",
-            "--seed",
-            "--corpus-size",
-            "--max-cells",
-            "--quiet",
-        ],
+        "gc" => &["--store", "--dry-run", "--seed", "--corpus-size", "--quiet"],
         "convert" => &["--store", "--to", "--out", "--quiet"],
         "serve" => &[
             "--store",
             "--addr",
             "--accept-pool",
             "--threads",
-            "--compact-journal-over",
             "--slowlog-over-us",
             "--port-file",
             "--trace",
@@ -677,8 +642,7 @@ fn gc(registry: &Registry, options: &Options) -> Result<u8, String> {
         }
         doc = opened.store.to_json();
     }
-    let (kept, outcome) =
-        store::gc(&doc, registry, options.max_cells).map_err(|e| e.to_string())?;
+    let (kept, outcome) = store::gc(&doc, registry).map_err(|e| e.to_string())?;
     if !options.quiet || !outcome.dropped.is_empty() {
         print!("{}", report::gc_summary(&outcome, options.dry_run));
     }
@@ -768,11 +732,6 @@ fn convert(options: &Options) -> Result<u8, String> {
 /// lock. The journal is replayed, so a rerun of a killed campaign
 /// executes only the remaining cells.
 fn open_store(options: &Options) -> Result<(OpenedStore, Option<Obs>), String> {
-    if options.store.is_none() && options.compact_journal_over.is_some() {
-        return Err(
-            "--compact-journal-over needs --store PATH (it bounds the store's journal)".into(),
-        );
-    }
     // The recorder opens first so store load / journal replay below
     // already appear in the trace.
     let obs = match &options.trace {
@@ -818,9 +777,9 @@ fn same_store(a: &Path, b: &Path) -> bool {
 
 /// Runs `runner` in a [`Session`] built from the persistence flags
 /// (journal and checkpoint with `--store`, the `--progress` stderr
-/// line), then prints what was persisted and
-/// finishes the trace. The store is written before the runner's error
-/// is returned, so a failing cell keeps its completed siblings on disk.
+/// line), then finishes the trace. The store is written before the
+/// runner's error is returned, so a failing cell keeps its completed
+/// siblings on disk.
 fn run_session<T>(
     options: &Options,
     store: &mut ResultStore,
@@ -838,25 +797,18 @@ fn run_session<T>(
     };
     let session = Session {
         store: options.store.as_deref(),
-        compact_over: options.compact_journal_over,
         obs,
         on_cell: options
             .progress
             .then_some(&progress_line as &(dyn Fn(CellEvent) + Sync)),
         cancel: None,
     };
-    let persisted = session.run(store, runner).map_err(|e| e.to_string())?;
+    let outcome = session.run(store, runner).map_err(|e| e.to_string())?;
     if options.progress {
         warn("");
     }
-    if let (Some(path), false, n @ 1..) = (&options.store, options.quiet, persisted.compactions) {
-        println!(
-            "checkpoint written: {} ({n} mid-run journal compactions)",
-            path.display()
-        );
-    }
     finish_trace(obs, options.quiet);
-    persisted.outcome.map_err(|e| e.to_string())
+    outcome.map_err(|e| e.to_string())
 }
 
 /// Flushes the `--trace` file, if one was requested. The trace is
@@ -1045,9 +997,7 @@ fn merge(options: &Options) -> Result<u8, String> {
         .collect::<Result<Vec<_>, ScenarioError>>()
         .map_err(|e| e.to_string())?;
     let inputs_merged = stores.len();
-    let (fused, stats) =
-        dist::merge_stores_owned_observed(stores, obs.as_ref()).map_err(|e| e.to_string())?;
-    let mut fused = fused;
+    let (mut fused, stats) = dist::merge_stores(stores, obs.as_ref()).map_err(|e| e.to_string())?;
     let mut folded = 0usize;
     if let Some(path) = &options.manifest {
         let manifest = dist::Manifest::load(path).map_err(|e| e.to_string())?;
@@ -1148,7 +1098,6 @@ fn serve_cmd(options: &Options) -> Result<u8, String> {
             addr: options.addr.clone().unwrap_or(defaults.addr),
             accept_pool: options.accept_pool.unwrap_or(defaults.accept_pool),
             exec_threads: options.threads,
-            compact_journal_over: options.compact_journal_over,
             slowlog_over_us: options.slowlog_over_us.unwrap_or(defaults.slowlog_over_us),
             quiet: options.quiet,
         },

@@ -27,59 +27,37 @@ pub struct MergeStats {
     pub duplicates: usize,
 }
 
-/// Fuses shard stores (in order) into one store. Identical duplicate
-/// cells are tolerated and counted; a fingerprint collision with
-/// *conflicting* results aborts the merge — that can only happen when
-/// a scenario violated determinism, and silently picking a winner
-/// would launder the violation into the canonical store.
-pub fn merge_stores(stores: &[ResultStore]) -> Result<(ResultStore, MergeStats), ScenarioError> {
-    merge_stores_observed(stores, None)
-}
-
-/// [`merge_stores`] with an optional [`crate::obs::Obs`] recorder: the
-/// whole fuse runs under a `merge` span (the CLI's `merge --trace`
-/// path). Purely observational — the fused store is byte-identical
-/// with or without the recorder.
-pub fn merge_stores_observed(
-    stores: &[ResultStore],
-    obs: Option<&crate::obs::Obs>,
-) -> Result<(ResultStore, MergeStats), ScenarioError> {
-    let _merge_span = obs.map(|o| o.span("merge", "dist"));
-    fuse(
-        stores
-            .iter()
-            .map(|store| store.clone().into_map())
-            .collect(),
-    )
-}
-
-/// [`merge_stores_observed`] consuming its inputs: the cells are
-/// *moved* into the fused store, so fusing N shard stores costs zero
-/// clones — the path the CLI merge and the binary-store shard workflow
-/// take.
-pub fn merge_stores_owned_observed(
-    stores: Vec<ResultStore>,
-    obs: Option<&crate::obs::Obs>,
-) -> Result<(ResultStore, MergeStats), ScenarioError> {
-    let _merge_span = obs.map(|o| o.span("merge", "dist"));
-    fuse(stores.into_iter().map(ResultStore::into_map).collect())
-}
-
-/// The shared fuse. Every input tree is already fingerprint-sorted, so
-/// each one is folded in with two linear passes: a borrow-only scan of
-/// the two sorted key streams that separates harmless duplicates from
+/// Fuses shard stores (in order) into one store, moving their cells:
+/// fusing N shard stores costs zero clones, so a caller that still
+/// needs an input afterwards clones it at the call site. Identical
+/// duplicate cells are tolerated and counted; a fingerprint collision
+/// with *conflicting* results aborts the merge — that can only happen
+/// when a scenario violated determinism, and silently picking a winner
+/// would launder the violation into the canonical store. With an
+/// [`crate::obs::Obs`] recorder the whole fuse runs under a `merge`
+/// span (the CLI's `merge --trace` path); the fused store is
+/// byte-identical with or without it.
+///
+/// Every input tree is already fingerprint-sorted, so each one is
+/// folded in with two linear passes: a borrow-only scan of the two
+/// sorted key streams that separates harmless duplicates from
 /// determinism violations (advancing whichever side holds the smaller
 /// key — no cell is moved or cloned to be checked), then a
 /// [`BTreeMap::append`] bulk fuse, which merges the source trees
 /// node-wise instead of paying a lookup-and-rebalance per cell. The
 /// overwrite-on-collision semantics of `append` are safe precisely
 /// because the scan just proved every collision identical.
-fn fuse(
-    inputs: Vec<std::collections::BTreeMap<String, StoredCell>>,
+///
+/// [`BTreeMap::append`]: std::collections::BTreeMap::append
+pub fn merge_stores(
+    stores: Vec<ResultStore>,
+    obs: Option<&crate::obs::Obs>,
 ) -> Result<(ResultStore, MergeStats), ScenarioError> {
+    let _merge_span = obs.map(|o| o.span("merge", "dist"));
     let mut stats = MergeStats::default();
     let mut fused: std::collections::BTreeMap<String, StoredCell> = Default::default();
-    for (input, mut incoming) in inputs.into_iter().enumerate() {
+    for (input, store) in stores.into_iter().enumerate() {
+        let mut incoming = store.into_map();
         if fused.is_empty() {
             fused = incoming;
             continue;
@@ -357,7 +335,7 @@ mod tests {
     fn disjoint_stores_union() {
         let a = store_with(&[(1, 1.0), (2, 2.0)]);
         let b = store_with(&[(3, 3.0)]);
-        let (fused, stats) = merge_stores(&[a, b]).unwrap();
+        let (fused, stats) = merge_stores(vec![a, b], None).unwrap();
         assert_eq!(fused.len(), 3);
         assert_eq!(
             stats,
@@ -372,7 +350,7 @@ mod tests {
     fn identical_overlap_is_counted_not_fatal() {
         let a = store_with(&[(1, 1.0), (2, 2.0)]);
         let b = store_with(&[(2, 2.0), (3, 3.0)]);
-        let (fused, stats) = merge_stores(&[a, b]).unwrap();
+        let (fused, stats) = merge_stores(vec![a, b], None).unwrap();
         assert_eq!(fused.len(), 3);
         assert_eq!(stats.duplicates, 1);
     }
@@ -381,13 +359,13 @@ mod tests {
     fn conflicting_results_abort() {
         let a = store_with(&[(1, 1.0)]);
         let b = store_with(&[(1, 1.5)]);
-        let err = merge_stores(&[a, b]).unwrap_err();
+        let err = merge_stores(vec![a, b], None).unwrap_err();
         assert!(matches!(err, ScenarioError::Dist(ref m) if m.contains("determinism")));
     }
 
     #[test]
     fn merge_of_empty_inputs_is_empty() {
-        let (fused, stats) = merge_stores(&[]).unwrap();
+        let (fused, stats) = merge_stores(Vec::new(), None).unwrap();
         assert!(fused.is_empty());
         assert_eq!(stats.cells, 0);
     }
@@ -469,7 +447,7 @@ mod tests {
             dist::run_shard(&registry, &manifest, index, 2, &mut store).unwrap();
             shard_stores.push(store);
         }
-        let (mut fused, _) = merge_stores(&shard_stores).unwrap();
+        let (mut fused, _) = merge_stores(shard_stores, None).unwrap();
         verify_coverage(&registry, &manifest, &fused).unwrap();
         let folded = fold_replicates(&registry, &manifest, &mut fused, false).unwrap();
         assert_eq!(folded, 8, "4 + 4 base cells fold");

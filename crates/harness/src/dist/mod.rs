@@ -19,9 +19,9 @@
 //! * [`run_shard_stealing`] — dynamic work stealing: a shard claims its
 //!   initial lease chunk by chunk, then steals the other shards'
 //!   unclaimed chunks through atomic lease files ([`LeaseDir`]).
-//! * [`merge_stores`] / [`merge_stores_owned_observed`] — fuse shard
-//!   stores into one canonical store, aborting on fingerprint
-//!   collisions with conflicting results (a determinism violation);
+//! * [`merge_stores`] — fuse shard stores into one canonical store,
+//!   aborting on fingerprint collisions with conflicting results (a
+//!   determinism violation);
 //!   [`merge::verify_coverage`] checks the fused store holds exactly
 //!   the planned cells, and [`fold_replicates`] folds a replicated
 //!   campaign's raw cells into distribution cells.
@@ -53,7 +53,7 @@
 //!     dist::run_shard(&registry, &manifest, index, 2, &mut store).unwrap();
 //!     shard_stores.push(store);
 //! }
-//! let (mut fused, _stats) = dist::merge_stores_owned_observed(shard_stores, None).unwrap();
+//! let (mut fused, _stats) = dist::merge_stores(shard_stores, None).unwrap();
 //! dist::merge::verify_coverage(&registry, &manifest, &fused).unwrap();
 //! assert_eq!(dist::fold_replicates(&registry, &manifest, &mut fused, false).unwrap(), 4);
 //!
@@ -77,10 +77,7 @@ pub mod plan;
 pub mod steal;
 
 pub use diff::{diff_stores, Admitted, DiffReport, NearMiss, Tolerances};
-pub use merge::{
-    fold_replicates, merge_stores, merge_stores_observed, merge_stores_owned_observed,
-    steal_report, MergeStats, StealReport,
-};
+pub use merge::{fold_replicates, merge_stores, steal_report, MergeStats, StealReport};
 pub use plan::{plan, CorpusPlan, Manifest, ScenarioPlan};
 pub use steal::{chunk_map, run_shard_stealing, Chunk, LeaseDir, StealStats};
 

@@ -33,6 +33,7 @@ use crate::scenario::ScenarioError;
 use crate::store::ResultStore;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Chunk-map granularity: target chunks per shard. High enough that a
 /// slow shard's backlog is stealable in pieces, low enough that lease
@@ -300,10 +301,16 @@ pub struct StealStats {
 /// order (which chunks those *are* is scheduling-dependent — that is
 /// the point — but every cell's result is not).
 ///
+/// A failing cell stays contained as in the executor: its chunk's
+/// completed cells are in `store`, the sweep goes on through every
+/// remaining chunk, and the error of the lowest-id failing chunk is
+/// returned at the end (a cancelled run stops at once).
+///
 /// `leases` must be a directory opened for *this* campaign (see
-/// [`LeaseDir::open`]); a chunk whose holder dies mid-execution stays
-/// leased and is surfaced by merge's coverage check — recover by
-/// clearing the lease directory and re-running the shards.
+/// [`LeaseDir::open`]); a chunk whose holder dies mid-execution, or
+/// whose cell failed, stays leased and is surfaced by merge's coverage
+/// check — recover by clearing the lease directory and re-running the
+/// shards.
 pub fn run_shard_stealing(
     registry: &Registry,
     manifest: &Manifest,
@@ -341,9 +348,10 @@ pub fn run_shard_stealing(
     // cell space (the shard cannot know up front how much it will end
     // up claiming).
     let campaign_lazy_cells: usize = chunks.iter().map(|c| c.range.len()).sum();
-    let mut executed_so_far = 0usize;
-    let mut memoized_so_far = 0usize;
+    // The highest counts reported so far, failed chunks' cells included.
+    let (executed_so_far, memoized_so_far) = (AtomicUsize::new(0), AtomicUsize::new(0));
     let mut pieces: Vec<(usize, Campaign)> = Vec::new();
+    let mut failed: Option<(usize, ScenarioError)> = None;
     for chunk in order {
         let won = {
             let _claim_span = hooks.obs.map(|o| o.span("lease/claim", "steal"));
@@ -368,15 +376,19 @@ pub fn run_shard_stealing(
             continue;
         }
         let range = chunk.range.clone();
-        let base = executed_so_far;
-        let memo_base = memoized_so_far;
+        let base = executed_so_far.load(Ordering::Relaxed);
+        let memo_base = memoized_so_far.load(Ordering::Relaxed);
         let rebased = hooks.on_cell.map(|on_cell| {
+            let (executed_so_far, memoized_so_far) = (&executed_so_far, &memoized_so_far);
             move |e: CellEvent| {
-                on_cell(CellEvent {
+                let e = CellEvent {
                     executed: base + e.executed,
                     memoized: memo_base + e.memoized,
                     total: campaign_lazy_cells,
-                })
+                };
+                executed_so_far.fetch_max(e.executed, Ordering::Relaxed);
+                memoized_so_far.fetch_max(e.memoized, Ordering::Relaxed);
+                on_cell(e)
             }
         });
         let chunk_hooks = ExecHooks {
@@ -391,15 +403,24 @@ pub fn run_shard_stealing(
             store,
             CellDomain::Ranges(std::slice::from_ref(&range)),
             chunk_hooks,
-        )?;
-        executed_so_far += piece.executed;
-        memoized_so_far += piece.memoized;
+        );
         stats.claimed_chunks += 1;
         stats.executed_lazy_cells += chunk.range.len();
         if chunk.initial_shard != index {
             stats.stolen_chunks += 1;
         }
-        pieces.push((chunk.id, piece));
+        match piece {
+            Ok(piece) => pieces.push((chunk.id, piece)),
+            Err(ScenarioError::Cancelled) => return Err(ScenarioError::Cancelled),
+            Err(e) => {
+                if failed.as_ref().is_none_or(|(id, _)| chunk.id < *id) {
+                    failed = Some((chunk.id, e));
+                }
+            }
+        }
+    }
+    if let Some((_, e)) = failed {
+        return Err(e);
     }
 
     // Chunk ids ascend with global indices, so sorting by id restores
@@ -655,7 +676,7 @@ mod tests {
             stores.push(store);
         }
         assert_eq!(claimed, chunk_map(&registry, &manifest).unwrap().len());
-        let (fused, stats) = dist::merge_stores(&stores).unwrap();
+        let (fused, stats) = dist::merge_stores(stores, None).unwrap();
         assert_eq!(stats.duplicates, 0, "leases are exclusive");
         dist::merge::verify_coverage(&registry, &manifest, &fused).unwrap();
         let mut single = ResultStore::new();

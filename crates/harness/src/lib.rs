@@ -159,6 +159,6 @@ pub use obs::Obs;
 pub use registry::Registry;
 pub use scenario::{Axis, CellResult, Params, Scenario, ScenarioError, ScenarioSpec};
 pub use serve::{ServeOptions, ServeSummary, Server, ServerHandle};
-pub use session::{Persisted, Session};
+pub use session::Session;
 pub use space::CampaignSpace;
-pub use store::{CompactingJournal, Journal, OpenedStore, ResultStore, StoreFormat};
+pub use store::{Journal, OpenedStore, ResultStore, StoreFormat};

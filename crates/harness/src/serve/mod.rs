@@ -18,9 +18,9 @@
 //! * **Submits** enqueue to a single background scheduler thread that
 //!   runs each campaign on the existing streaming executor
 //!   ([`crate::exec::run_campaign_with`]) inside a
-//!   [`crate::session::Session`] — crash-resume journaling (compacted
-//!   mid-run, so week-long submit streams stay bounded) and a
-//!   checkpoint whatever the outcome — and atomically publishes a fresh
+//!   [`crate::session::Session`] — crash-resume journaling and a
+//!   checkpoint whatever the outcome, so no journal outlives its
+//!   submit — and atomically publishes a fresh
 //!   index — readers see the old cells or the new cells, never a
 //!   half-built state.
 //! * **Shutdown** is graceful: stop accepting, drain in-flight
@@ -120,9 +120,6 @@ pub struct ServeOptions {
     pub accept_pool: usize,
     /// Executor threads for submitted campaigns.
     pub exec_threads: usize,
-    /// Fold the journal into the checkpoint whenever it exceeds this
-    /// many lines mid-run (`--compact-journal-over`).
-    pub compact_journal_over: Option<usize>,
     /// Requests slower than this land in the slowlog ring
     /// (`--slowlog-over-us`).
     pub slowlog_over_us: u64,
@@ -136,7 +133,6 @@ impl Default for ServeOptions {
             addr: "127.0.0.1:0".to_string(),
             accept_pool: 8,
             exec_threads: 4,
-            compact_journal_over: None,
             slowlog_over_us: 10_000,
             quiet: false,
         }
@@ -1375,12 +1371,11 @@ fn run_job(
     };
     let session = Session {
         store: Some(&inner.store_path),
-        compact_over: inner.options.compact_journal_over,
         obs: inner.obs.as_ref(),
         on_cell: Some(&progress_sink),
         cancel: Some(&inner.cancel),
     };
-    let persisted = session.run(&mut store, |store, hooks| {
+    let outcome = session.run(&mut store, |store, hooks| {
         run_campaign_with(
             &registry,
             &job.scenarios,
@@ -1399,7 +1394,7 @@ fn run_job(
     // Completed cells are checkpointed whatever the outcome; publish
     // them before surfacing a cell's error.
     inner.publish(&store);
-    match persisted.outcome {
+    match outcome {
         Ok(_) => Ok(true),
         Err(ScenarioError::Cancelled) => Ok(false),
         Err(e) => Err(e),

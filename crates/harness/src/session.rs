@@ -4,7 +4,7 @@
 //! — `campaign run`/`report`, `shard`, `shard --steal` and a served
 //! `submit` — goes through [`Session::run`]. A session with a store
 //! follows one rule: the store on disk is its checkpoint plus its
-//! journal. It opens a [`CompactingJournal`] beside the store, hands
+//! journal. It opens a [`Journal`] beside the store, hands
 //! the runner `(&mut ResultStore, ExecHooks)` (so one session drives
 //! [`crate::exec::run_campaign_with`], [`crate::dist::run_shard_with`]
 //! and [`crate::dist::steal::run_shard_stealing`] alike), and then,
@@ -27,7 +27,7 @@ use std::sync::{LockResult, Mutex, PoisonError};
 use crate::exec::{CellEvent, ExecHooks, ResultSink};
 use crate::obs::Obs;
 use crate::scenario::ScenarioError;
-use crate::store::{CompactingJournal, ResultStore, StoredCell};
+use crate::store::{Journal, ResultStore, StoredCell};
 
 /// Lines between journal fsyncs. A SIGKILL loses only a torn final
 /// line whatever the batch (every line is written unbuffered); the
@@ -40,9 +40,6 @@ pub struct Session<'a> {
     /// The store's file; `None` keeps the run in memory (no journal,
     /// nothing saved).
     pub store: Option<&'a Path>,
-    /// Fold the journal into the checkpoint mid-run once it outgrows
-    /// this many lines (see [`CompactingJournal`]).
-    pub compact_over: Option<usize>,
     /// Span recorder for the executor and the journal.
     pub obs: Option<&'a Obs>,
     /// The caller's own per-cell consumer (`--progress`, serve job
@@ -52,32 +49,21 @@ pub struct Session<'a> {
     pub cancel: Option<&'a AtomicBool>,
 }
 
-/// What [`Session::run`] persisted, and the runner's own result.
-#[derive(Debug)]
-pub struct Persisted<T> {
-    /// The runner's result. On an error too, the store on disk holds
-    /// every cell completed before it.
-    pub outcome: Result<T, ScenarioError>,
-    /// Mid-run journal compactions.
-    pub compactions: usize,
-}
-
 impl Session<'_> {
     /// Runs `runner` against `store` with the session's hooks, then
     /// persists. `store` must be what [`ResultStore::open_resumable`]
-    /// returned (the checkpoint plus any replayed journal cells): a
-    /// mid-run compaction writes it with the fresh cells. The returned
-    /// error is a failure to open or persist; the runner's own result
-    /// is [`Persisted::outcome`].
+    /// returned (the checkpoint plus any replayed journal cells). The
+    /// outer error is a failure to open or persist; the inner result is
+    /// the runner's own, and on an error too the store on disk holds
+    /// every cell completed before it.
     pub fn run<T>(
         &self,
         store: &mut ResultStore,
         runner: impl FnOnce(&mut ResultStore, ExecHooks<'_>) -> Result<T, ScenarioError>,
-    ) -> Result<Persisted<T>, ScenarioError> {
+    ) -> Result<Result<T, ScenarioError>, ScenarioError> {
         let journal = match self.store {
             Some(path) => {
-                let mut journal =
-                    CompactingJournal::open(path, JOURNAL_BATCH, self.compact_over, store)?;
+                let mut journal = Journal::open(path, JOURNAL_BATCH)?;
                 if let Some(obs) = self.obs {
                     journal.observe(obs);
                 }
@@ -98,15 +84,11 @@ impl Session<'_> {
         };
         let outcome = runner(store, hooks);
 
-        let mut compactions = 0;
         if let (Some(path), Some(journal)) = (self.store, journal) {
-            compactions = unpoison(journal.into_inner()).finish()?;
+            unpoison(journal.into_inner()).finish()?;
             store.checkpoint_observed(path, self.obs)?;
         }
-        Ok(Persisted {
-            outcome,
-            compactions,
-        })
+        Ok(outcome)
     }
 }
 
@@ -122,6 +104,7 @@ pub(crate) fn unpoison<G>(result: LockResult<G>) -> G {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::{self, LeaseDir};
     use crate::exec::{run_campaign_with, CellDomain, ExecConfig};
     use crate::matrix::Filter;
     use crate::registry::Registry;
@@ -176,6 +159,17 @@ mod tests {
         }
     }
 
+    /// What drives the flaky campaign inside the session.
+    #[derive(Clone, Copy, Debug)]
+    enum Runner {
+        /// One executor run over the whole matrix (`campaign run`).
+        Campaign,
+        /// Shard 0 of 1 claiming chunk by chunk (`shard --steal`), from
+        /// a fresh lease directory each run: a failed chunk's lease is
+        /// never released, so a retry clears the directory.
+        Steal,
+    }
+
     fn tempdir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("harness-session-{tag}-{}", std::process::id()));
@@ -194,7 +188,7 @@ mod tests {
         journal_lines: Vec<String>,
     }
 
-    fn run_flaky(path: &Path, failure: Failure, threads: usize) -> FlakyRun {
+    fn run_flaky(path: &Path, failure: Failure, threads: usize, runner: Runner) -> FlakyRun {
         let mut registry = Registry::empty();
         registry.register(Box::new(Flaky { failure }));
         let config = ExecConfig {
@@ -214,15 +208,28 @@ mod tests {
         let mut journal_lines = Vec::new();
         let outcome = session
             .run(&mut store, |store, hooks| {
-                let outcome = run_campaign_with(
-                    &registry,
-                    &[],
-                    &Filter::all(),
-                    &config,
-                    store,
-                    CellDomain::All,
-                    hooks,
-                );
+                let outcome = match runner {
+                    Runner::Campaign => run_campaign_with(
+                        &registry,
+                        &[],
+                        &Filter::all(),
+                        &config,
+                        store,
+                        CellDomain::All,
+                        hooks,
+                    )
+                    .map(drop),
+                    Runner::Steal => {
+                        let manifest = dist::plan(&registry, &[], &[], config.seed, 1, 1).unwrap();
+                        let lease_dir = path.with_extension("leases");
+                        std::fs::remove_dir_all(&lease_dir).ok();
+                        let leases = LeaseDir::open(&lease_dir, &manifest).unwrap();
+                        dist::run_shard_stealing(
+                            &registry, &manifest, 0, threads, store, &leases, hooks,
+                        )
+                        .map(drop)
+                    }
+                };
                 journal_lines = std::fs::read_to_string(journal_path(path))
                     .expect("a stored run journals")
                     .lines()
@@ -230,8 +237,7 @@ mod tests {
                     .collect();
                 outcome
             })
-            .unwrap()
-            .outcome;
+            .unwrap();
         FlakyRun {
             error: outcome.expect_err("the a=2 cell fails"),
             events: events.into_inner().unwrap(),
@@ -239,87 +245,91 @@ mod tests {
         }
     }
 
-    /// Runs the flaky campaign twice into one store and checks that the
-    /// failing cell never reaches the disk while its siblings do, then
-    /// memoize. Returns the first run's error.
-    fn failed_cell_is_contained(tag: &str, failure: Failure, threads: usize) -> ScenarioError {
-        let dir = tempdir(tag);
-        let path = dir.join("store.json");
-        let first = run_flaky(&path, failure, threads);
-        // One event per cell, the failed one counted as executed.
-        assert_eq!(first.events.len(), 3);
-        assert_eq!(first.events.iter().max(), Some(&(3, 0)));
+    /// Runs the flaky campaign twice into one store, as a plain run
+    /// and as a `shard --steal` sweep at 1 and 2 threads each, and
+    /// checks that the failing cell never reaches the disk while its
+    /// siblings do, then memoize. Returns the error, which every runner
+    /// reports alike.
+    fn failed_cell_is_contained(tag: &str, failure: Failure) -> ScenarioError {
+        let mut errors = Vec::new();
+        for runner in [Runner::Campaign, Runner::Steal] {
+            for threads in [1, 2] {
+                let dir = tempdir(&format!("{tag}-{runner:?}{threads}"));
+                let path = dir.join("store.json");
+                let first = run_flaky(&path, failure, threads, runner);
+                // One event per cell, the failed one counted as executed.
+                assert_eq!(first.events.len(), 3);
+                assert_eq!(first.events.iter().max(), Some(&(3, 0)));
 
-        // The successful siblings are on disk; nothing else is.
-        let reloaded = ResultStore::load(&path).unwrap();
-        let mut values: Vec<f64> = reloaded
-            .iter()
-            .map(|(_, cell)| cell.result.metric("value").unwrap())
-            .collect();
-        values.sort_by(f64::total_cmp);
-        assert_eq!(values, [1.0, 3.0]);
-        assert!(!journal_path(&path).exists(), "no journal left behind");
-        // The run journaled both siblings, and only them.
-        assert_eq!(first.journal_lines.len(), 2);
-        assert!(first.journal_lines.iter().all(|l| !l.contains("a=2")));
+                // The successful siblings are on disk; nothing else is.
+                let reloaded = ResultStore::load(&path).unwrap();
+                let mut values: Vec<f64> = reloaded
+                    .iter()
+                    .map(|(_, cell)| cell.result.metric("value").unwrap())
+                    .collect();
+                values.sort_by(f64::total_cmp);
+                assert_eq!(values, [1.0, 3.0]);
+                assert!(!journal_path(&path).exists(), "no journal left behind");
+                // The run journaled both siblings, and only them.
+                assert_eq!(first.journal_lines.len(), 2);
+                assert!(first.journal_lines.iter().all(|l| !l.contains("a=2")));
 
-        // A rerun memoizes both siblings and retries the failed cell.
-        let again = run_flaky(&path, failure, threads);
-        assert_eq!(again.error.to_string(), first.error.to_string());
-        let max_executed = again.events.iter().map(|e| e.0).max();
-        let max_memoized = again.events.iter().map(|e| e.1).max();
-        assert_eq!((max_executed, max_memoized), (Some(1), Some(2)));
-        std::fs::remove_dir_all(&dir).ok();
-        first.error
+                // A rerun memoizes both siblings and retries the failed cell.
+                let again = run_flaky(&path, failure, threads, runner);
+                assert_eq!(again.error, first.error);
+                let max_executed = again.events.iter().map(|e| e.0).max();
+                let max_memoized = again.events.iter().map(|e| e.1).max();
+                assert_eq!((max_executed, max_memoized), (Some(1), Some(2)));
+                std::fs::remove_dir_all(&dir).ok();
+                errors.push(first.error);
+            }
+        }
+        assert!(errors.windows(2).all(|w| w[0] == w[1]), "{errors:?}");
+        errors.pop().unwrap()
     }
 
     #[test]
     fn failing_cell_persists_its_siblings() {
-        for threads in [1, 2] {
-            let err = failed_cell_is_contained(&format!("flaky{threads}"), Failure::Error, threads);
-            assert!(matches!(err, ScenarioError::BadParam { .. }), "{err}");
-        }
+        let err = failed_cell_is_contained("flaky", Failure::Error);
+        assert_eq!(
+            err,
+            ScenarioError::BadParam {
+                axis: "a".into(),
+                value: "2".into(),
+            }
+        );
     }
 
     #[test]
     fn panicking_cell_persists_its_siblings() {
-        for threads in [1, 2] {
-            let err =
-                failed_cell_is_contained(&format!("panicky{threads}"), Failure::Panic, threads);
-            let ScenarioError::Panicked {
-                scenario,
-                params,
-                message,
-            } = &err
-            else {
-                panic!("expected a contained panic, got {err}");
-            };
-            assert_eq!((scenario.as_str(), params.as_str()), ("flaky", "a=2"));
-            assert_eq!(message, "cell a=2 blew up");
-            assert!(err.to_string().contains("`flaky` panicked on cell a=2"));
-        }
+        let err = failed_cell_is_contained("panicky", Failure::Panic);
+        let ScenarioError::Panicked {
+            scenario,
+            params,
+            message,
+        } = &err
+        else {
+            panic!("expected a contained panic, got {err}");
+        };
+        assert_eq!((scenario.as_str(), params.as_str()), ("flaky", "a=2"));
+        assert_eq!(message, "cell a=2 blew up");
+        assert!(err.to_string().contains("`flaky` panicked on cell a=2"));
     }
 
     #[test]
     fn non_finite_metric_cell_persists_its_siblings() {
-        for threads in [1, 2] {
-            let err = failed_cell_is_contained(
-                &format!("nonfinite{threads}"),
-                Failure::NonFinite,
-                threads,
-            );
-            assert_eq!(
-                err,
-                ScenarioError::NonFiniteMetric {
-                    scenario: "flaky".into(),
-                    params: "a=2".into(),
-                    metric: "ratio".into(),
-                }
-            );
-            assert_eq!(
-                err.to_string(),
-                "scenario `flaky` gave non-finite metric `ratio` on cell a=2"
-            );
-        }
+        let err = failed_cell_is_contained("nonfinite", Failure::NonFinite);
+        assert_eq!(
+            err,
+            ScenarioError::NonFiniteMetric {
+                scenario: "flaky".into(),
+                params: "a=2".into(),
+                metric: "ratio".into(),
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "scenario `flaky` gave non-finite metric `ratio` on cell a=2"
+        );
     }
 }

@@ -17,7 +17,8 @@
 //! over the checkpoint (tolerating the torn final line a SIGKILL
 //! leaves), and [`ResultStore::checkpoint`] compacts the pair — which
 //! is what makes every stored campaign crash-resumable with zero
-//! recompute.
+//! recompute. Every run ends in that checkpoint
+//! ([`crate::session::Session`]), so a journal never outlives one run.
 //!
 //! A store has one writer at a time: the writer open holds the store's
 //! pidfile lock ([`StoreLock`]) until its final checkpoint, and the
@@ -684,10 +685,6 @@ pub(crate) struct AppendLog {
     path: std::path::PathBuf,
     batch: usize,
     pending: usize,
-    /// Complete lines currently in the file (pre-existing lines counted
-    /// at open, incremented per append) — the mid-run compaction
-    /// trigger reads this.
-    lines: usize,
     /// The line being appended, reused from one append to the next.
     line: String,
     error: Option<String>,
@@ -711,11 +708,9 @@ impl AppendLog {
             std::fs::create_dir_all(dir)
                 .map_err(|e| ScenarioError::Store(format!("mkdir {}: {e}", dir.display())))?;
         }
-        let mut lines = 0;
         match std::fs::read(&path) {
             Ok(bytes) => {
                 let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-                lines = bytes[..keep].iter().filter(|&&b| b == b'\n').count();
                 if keep != bytes.len() {
                     let file = std::fs::OpenOptions::new()
                         .write(true)
@@ -751,7 +746,6 @@ impl AppendLog {
             path,
             batch: batch.max(1),
             pending: 0,
-            lines,
             line: String::new(),
             error: None,
             obs: None,
@@ -763,11 +757,6 @@ impl AppendLog {
     /// `journal/fsync_batches` counter.
     pub(crate) fn observe(&mut self, obs: &crate::obs::Obs) {
         self.obs = Some(obs.clone());
-    }
-
-    /// Complete lines in the file (pre-existing ones included).
-    pub(crate) fn lines(&self) -> usize {
-        self.lines
     }
 
     /// Appends one record, which `render` writes into the log's reused
@@ -789,7 +778,6 @@ impl AppendLog {
             let dur = crate::obs::monotonic_ns().saturating_sub(start);
             obs.record_span("journal/append", "store", start, dur);
         }
-        self.lines += 1;
         self.pending += 1;
         if self.pending >= self.batch {
             self.sync();
@@ -844,26 +832,12 @@ pub struct Journal {
 
 impl Journal {
     /// Opens (creating if missing) the journal beside `store_path`,
-    /// fsyncing every `batch` appended cells (`0` is treated as 1).
-    ///
-    /// A torn final line (a kill mid-append) is *healed* here (see
-    /// `AppendLog::open`): the file is truncated back to its last
-    /// complete record before appending resumes. Replay merely
-    /// tolerates the torn tail; without the truncation, the first
-    /// fresh append would concatenate onto the partial bytes and
-    /// corrupt two records at once — fatally, on the next resume, once
-    /// the merged garbage is no longer the last line.
+    /// fsyncing every `batch` appended cells (`0` is treated as 1). A
+    /// torn final line is healed as in `AppendLog::open`.
     pub fn open(store_path: &Path, batch: usize) -> Result<Journal, ScenarioError> {
         Ok(Journal {
             log: AppendLog::open(journal_path(store_path), batch)?,
         })
-    }
-
-    /// Complete cell lines currently in the journal file — lines
-    /// replayed from a previous crash included, so a resumed campaign's
-    /// compaction threshold sees the true journal size.
-    pub fn lines(&self) -> usize {
-        self.log.lines()
     }
 
     /// Attaches a span recorder: every append shows up as a
@@ -884,140 +858,6 @@ impl Journal {
     /// lifetime, if any.
     pub fn finish(self) -> Result<(), ScenarioError> {
         self.log.finish()
-    }
-}
-
-/// A [`Journal`] that folds itself into the checkpoint mid-run: once
-/// the journal file exceeds `threshold` lines, the accumulated
-/// checkpoint∪journal union is written as a fresh checkpoint (the
-/// atomic [`ResultStore::checkpoint`] path — snapshot, fsync, remove
-/// journal, dir fsync) and journaling restarts empty. A week-long
-/// journal-heavy campaign thus holds the sidecar at O(threshold) lines
-/// instead of O(cells), and every compaction boundary is itself a
-/// crash-consistent resume point. With no threshold this is a plain
-/// pass-through journal with zero extra cost (no shadow store is kept).
-///
-/// Like [`Journal`], append failures are sticky and surfaced by
-/// [`CompactingJournal::finish`], so executor worker threads never
-/// unwind through a compaction.
-#[derive(Debug)]
-pub struct CompactingJournal {
-    /// `None` only transiently while a compaction swaps files, or
-    /// permanently after a sticky error.
-    journal: Option<Journal>,
-    /// checkpoint ∪ journaled cells — what a mid-run compaction writes.
-    /// Only maintained when a threshold is set.
-    live: Option<ResultStore>,
-    store_path: std::path::PathBuf,
-    batch: usize,
-    threshold: Option<usize>,
-    compactions: usize,
-    error: Option<String>,
-    obs: Option<crate::obs::Obs>,
-}
-
-impl CompactingJournal {
-    /// Opens the journal beside `store_path` (torn tail healed, see
-    /// [`Journal::open`]). `base` must be the store as of the last
-    /// checkpoint *plus* any replayed journal cells — exactly what
-    /// [`ResultStore::open_resumable`] returns — so that a compaction
-    /// writes the full union, not just the fresh cells.
-    pub fn open(
-        store_path: &Path,
-        batch: usize,
-        threshold: Option<usize>,
-        base: &ResultStore,
-    ) -> Result<CompactingJournal, ScenarioError> {
-        Ok(CompactingJournal {
-            journal: Some(Journal::open(store_path, batch)?),
-            live: threshold.map(|_| base.clone()),
-            store_path: store_path.to_path_buf(),
-            batch,
-            threshold,
-            compactions: 0,
-            error: None,
-            obs: None,
-        })
-    }
-
-    /// Attaches a span recorder: the underlying journal's
-    /// `journal/append`/`journal/fsync` spans, plus a
-    /// `journal/compact` span and `journal/compactions` counter per
-    /// mid-run fold.
-    pub fn observe(&mut self, obs: &crate::obs::Obs) {
-        if let Some(journal) = &mut self.journal {
-            journal.observe(obs);
-        }
-        self.obs = Some(obs.clone());
-    }
-
-    /// Appends one completed cell, folding the journal into the
-    /// checkpoint first if it has outgrown the threshold. Failures are
-    /// recorded, not returned — check [`CompactingJournal::finish`].
-    pub fn append(&mut self, fp: &str, cell: &StoredCell) {
-        if self.error.is_some() {
-            return;
-        }
-        if let (Some(threshold), Some(journal)) = (self.threshold, &self.journal) {
-            if journal.lines() > threshold {
-                self.compact();
-            }
-        }
-        let Some(journal) = &mut self.journal else {
-            return;
-        };
-        journal.append(fp, cell);
-        if let Some(live) = &mut self.live {
-            live.insert_cell(fp.to_string(), cell.clone());
-        }
-    }
-
-    /// Folds the journal into the checkpoint and restarts it empty.
-    fn compact(&mut self) {
-        let start_ns = self.obs.is_some().then(crate::obs::monotonic_ns);
-        let journal = self
-            .journal
-            .take()
-            .expect("compact is only called with a journal");
-        if let Err(e) = journal.finish() {
-            self.error = Some(e.to_string());
-            return;
-        }
-        let live = self
-            .live
-            .as_ref()
-            .expect("a threshold implies a live store");
-        if let Err(e) = live.checkpoint_observed(&self.store_path, self.obs.as_ref()) {
-            self.error = Some(e.to_string());
-            return;
-        }
-        match Journal::open(&self.store_path, self.batch) {
-            Ok(mut journal) => {
-                if let Some(obs) = &self.obs {
-                    journal.observe(obs);
-                }
-                self.journal = Some(journal);
-                self.compactions += 1;
-            }
-            Err(e) => self.error = Some(e.to_string()),
-        }
-        if let (Some(obs), Some(start)) = (&self.obs, start_ns) {
-            let dur = crate::obs::monotonic_ns().saturating_sub(start);
-            obs.record_span("journal/compact", "store", start, dur);
-            obs.count("journal/compactions", 1);
-        }
-    }
-
-    /// Final sync; surfaces the first failure of the journal's
-    /// lifetime, if any, and returns the mid-run compaction count.
-    pub fn finish(mut self) -> Result<usize, ScenarioError> {
-        if let Some(journal) = self.journal.take() {
-            journal.finish()?;
-        }
-        match self.error.take() {
-            None => Ok(self.compactions),
-            Some(e) => Err(ScenarioError::Store(e)),
-        }
     }
 }
 
@@ -1059,21 +899,12 @@ pub struct GcReport {
 /// version, so they are retained as cells of *other* corpora (other
 /// campaign seeds), which a future campaign may legitimately hit.
 ///
-/// With `max_cells: Some(n)`, the pass then enforces a size cap: when
-/// more than `n`
-/// cells survive, the excess is evicted oldest-implementation-version
-/// first (the cells most likely to be invalidated next), ties broken by
-/// stable fingerprint order — so two GC passes over equal stores evict
-/// the identical cells. Eviction is reported like any other drop and
-/// honours `--dry-run` the same way.
-///
 /// Takes the raw JSON document (not a loaded [`ResultStore`]) so
 /// old-schema stores can be reported cell-by-cell instead of silently
 /// loading empty.
 pub fn gc(
     doc: &Json,
     registry: &crate::registry::Registry,
-    max_cells: Option<usize>,
 ) -> Result<(ResultStore, GcReport), ScenarioError> {
     let schema = doc.get("schema").and_then(Json::as_f64).unwrap_or(0.0) as u32;
     let raw_cells = match doc.get("cells") {
@@ -1132,26 +963,6 @@ pub fn gc(
                 params_key: cell.params_key.clone(),
                 reason,
             }),
-        }
-    }
-    if let Some(max) = max_cells {
-        if kept.len() > max {
-            let excess = kept.len() - max;
-            let mut victims: Vec<(u32, String)> = kept
-                .iter()
-                .map(|(fp, cell)| (cell.version, fp.to_string()))
-                .collect();
-            victims.sort();
-            for (_, fp) in victims.into_iter().take(excess) {
-                let cell = kept.remove(&fp).expect("victim came from the kept set");
-                report.kept -= 1;
-                report.dropped.push(GcDrop {
-                    fingerprint: fp,
-                    scenario: cell.scenario,
-                    params_key: cell.params_key,
-                    reason: format!("evicted: store exceeds --max-cells {max}"),
-                });
-            }
         }
     }
     Ok((kept, report))
@@ -1345,7 +1156,7 @@ mod tests {
         store.insert("fixed", 3, &params(), 1, CellResult::new(vec![("m", 1.0)]));
         store.insert("fixed", 2, &params(), 1, CellResult::new(vec![("m", 2.0)]));
         store.insert("gone", 1, &params(), 1, CellResult::new(vec![("m", 3.0)]));
-        let (kept, report) = gc(&store.to_json(), &registry, None).unwrap();
+        let (kept, report) = gc(&store.to_json(), &registry).unwrap();
         assert_eq!(kept.len(), 1);
         assert_eq!(report.kept, 1);
         assert_eq!(report.dropped.len(), 2);
@@ -1362,81 +1173,12 @@ mod tests {
         if let Json::Obj(members) = &mut doc {
             members[0].1 = Json::Num(1.0); // pretend schema 1
         }
-        let (kept, report) = gc(&doc, &crate::registry::Registry::empty(), None).unwrap();
+        let (kept, report) = gc(&doc, &crate::registry::Registry::empty()).unwrap();
         assert!(kept.is_empty());
         assert_eq!(report.kept, 0);
         assert_eq!(report.dropped.len(), 1);
         assert!(report.dropped[0].reason.contains("schema 1"));
         assert_eq!(report.dropped[0].scenario, "s");
-    }
-
-    #[test]
-    fn gc_max_cells_evicts_old_versions_then_fingerprint_order() {
-        use crate::registry::Registry;
-        use crate::scenario::{Axis, Scenario, ScenarioSpec};
-
-        /// Two scenarios at different registered versions.
-        struct At(&'static str, u32);
-        impl Scenario for At {
-            fn spec(&self) -> ScenarioSpec {
-                ScenarioSpec {
-                    id: self.0,
-                    version: self.1,
-                    title: "f",
-                    source_crate: "harness",
-                    property: "p",
-                    uncertainty: "u",
-                    quality: "q",
-                    catalog_id: None,
-                    content_digest: None,
-                    axes: vec![Axis::new("n", [1])],
-                    headline_metric: "m",
-                    smaller_is_better: true,
-                }
-            }
-            fn run(&self, _: &Params, _: u64) -> Result<CellResult, ScenarioError> {
-                Ok(CellResult::new(vec![("m", 0.0)]))
-            }
-        }
-
-        let mut registry = Registry::empty();
-        registry.register(Box::new(At("young", 5)));
-        registry.register(Box::new(At("old", 1)));
-        let mut store = ResultStore::new();
-        for seed in 0..3 {
-            store.insert(
-                "young",
-                5,
-                &params(),
-                seed,
-                CellResult::new(vec![("m", 1.0)]),
-            );
-            store.insert("old", 1, &params(), seed, CellResult::new(vec![("m", 2.0)]));
-        }
-        // Cap at 3: the three version-1 cells go first (oldest
-        // implementation version), so every survivor is version 5.
-        let (kept, report) = gc(&store.to_json(), &registry, Some(3)).unwrap();
-        assert_eq!(kept.len(), 3);
-        assert_eq!(report.kept, 3);
-        assert_eq!(report.dropped.len(), 3);
-        assert!(kept.iter().all(|(_, c)| c.version == 5));
-        assert!(report
-            .dropped
-            .iter()
-            .all(|d| d.reason.contains("--max-cells 3") && d.scenario == "old"));
-        // Deterministic: evicted fingerprints are sorted.
-        let evicted: Vec<&str> = report
-            .dropped
-            .iter()
-            .map(|d| d.fingerprint.as_str())
-            .collect();
-        let mut sorted = evicted.clone();
-        sorted.sort();
-        assert_eq!(evicted, sorted);
-        // A cap the store already satisfies evicts nothing.
-        let (kept, report) = gc(&store.to_json(), &registry, Some(10)).unwrap();
-        assert_eq!(kept.len(), 6);
-        assert!(report.dropped.is_empty());
     }
 
     #[test]
@@ -1555,71 +1297,6 @@ mod tests {
         std::fs::write(&jpath, "{\"schema\":1,\"fp\":\"aaaa\",\"cell\":{}}\n").unwrap();
         let opened = ResultStore::load_required(&path).unwrap();
         assert_eq!((opened.store.len(), opened.replayed), (0, 0));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn compacting_journal_folds_into_checkpoint_past_threshold() {
-        let dir = std::env::temp_dir().join(format!("harness-compact-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let path = dir.join("store.json");
-
-        // Start from a one-cell checkpoint so a compaction must write
-        // the union, not just the fresh cells.
-        let mut base = ResultStore::new();
-        base.insert("a", 1, &params(), 0, CellResult::new(vec![("x", 0.0)]));
-        base.save(&path).unwrap();
-
-        let cell = |seed: u64| {
-            (
-                fingerprint("a", 1, &params(), seed),
-                StoredCell {
-                    scenario: "a".into(),
-                    version: 1,
-                    params_key: params().key(),
-                    seed,
-                    fold: false,
-                    result: CellResult::new(vec![("x", seed as f64)]),
-                },
-            )
-        };
-        let mut journal = CompactingJournal::open(&path, 1, Some(2), &base).unwrap();
-        for seed in 1..=5 {
-            let (fp, c) = cell(seed);
-            journal.append(&fp, &c);
-        }
-        // 5 appends over a threshold of 2: the journal folded at least
-        // once, and the sidecar never outgrew threshold + 1 lines.
-        let jpath = journal_path(&path);
-        let compactions = journal.finish().unwrap();
-        assert!(compactions >= 1);
-        let lines = std::fs::read_to_string(&jpath).unwrap().lines().count();
-        assert!(lines <= 3, "journal kept {lines} lines past the threshold");
-
-        // The resumable union holds every cell: checkpoint + journal
-        // is lossless across compaction boundaries.
-        let resumed = ResultStore::load_required(&path).unwrap().store;
-        assert_eq!(resumed.len(), 6);
-        for seed in 0..=5 {
-            let (fp, c) = cell(seed);
-            assert_eq!(resumed.get_by_fingerprint(&fp), Some(&c));
-        }
-
-        // No threshold: a pure pass-through (zero compactions).
-        std::fs::remove_dir_all(&dir).ok();
-        let mut plain = CompactingJournal::open(&path, 1, None, &ResultStore::new()).unwrap();
-        for seed in 1..=5 {
-            let (fp, c) = cell(seed);
-            plain.append(&fp, &c);
-        }
-        assert_eq!(plain.finish().unwrap(), 0);
-        assert_eq!(
-            std::fs::read_to_string(journal_path(&path))
-                .unwrap()
-                .lines()
-                .count(),
-            5
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -141,7 +141,7 @@ fn golden_shard_equivalence() {
             assert_eq!(campaign.cells.len(), store.len());
             shard_stores.push(store);
         }
-        let (fused, stats) = merge_stores(&shard_stores).unwrap();
+        let (fused, stats) = merge_stores(shard_stores, None).unwrap();
         assert_eq!(stats.duplicates, 0, "shards must not overlap");
         dist::merge::verify_coverage(&registry, &manifest, &fused).unwrap();
         assert_eq!(

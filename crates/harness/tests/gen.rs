@@ -123,7 +123,7 @@ fn gen_shard_equivalence_is_byte_identical() {
         dist::run_shard(&worker_registry, &manifest, index, 2, &mut store).unwrap();
         shard_stores.push(store);
     }
-    let (fused, stats) = merge_stores(&shard_stores).unwrap();
+    let (fused, stats) = merge_stores(shard_stores, None).unwrap();
     assert_eq!(stats.duplicates, 0);
     dist::merge::verify_coverage(&registry, &manifest, &fused).unwrap();
     assert_eq!(

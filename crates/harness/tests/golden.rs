@@ -114,7 +114,7 @@ fn merged_shard_stores_reproduce_the_golden_campaign() {
         harness::dist::run_shard(&registry, &manifest, index, 2, &mut store).unwrap();
         shard_stores.push(store);
     }
-    let (mut merged, _) = harness::dist::merge_stores(&shard_stores).unwrap();
+    let (mut merged, _) = harness::dist::merge_stores(shard_stores, None).unwrap();
 
     let replay = run(2, &mut merged);
     assert_eq!(replay.executed, 0, "merged store must memoize every cell");

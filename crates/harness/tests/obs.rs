@@ -61,7 +61,7 @@ fn run_ok(args: &[&str]) -> String {
 }
 
 /// Runs the reference 2-scenario campaign into `store`, with optional
-/// `--trace` and journaling flags.
+/// `--trace` flags.
 fn run_reference(store: &std::path::Path, extra: &[&str]) {
     let store = store.to_str().unwrap();
     let mut args = vec![
@@ -92,35 +92,6 @@ fn traced_store_is_byte_identical_to_untraced() {
     let b = std::fs::read(&traced).unwrap();
     assert_eq!(a, b, "tracing must never change store bytes");
     assert!(trace.exists(), "the trace file itself must be written");
-}
-
-#[test]
-fn traced_checkpointed_store_is_byte_identical_too() {
-    // Mid-run compaction adds checkpoints under `journal/compact`
-    // spans — the store must still come out identical to a plain run.
-    let dir = TempDir::new("identity-journal");
-    let plain = dir.path("plain.json");
-    let traced = dir.path("traced.json");
-    let trace = dir.path("t.json");
-    run_reference(&plain, &[]);
-    run_reference(
-        &traced,
-        &[
-            "--compact-journal-over",
-            "2",
-            "--trace",
-            trace.to_str().unwrap(),
-        ],
-    );
-    let a = std::fs::read(&plain).unwrap();
-    let b = std::fs::read(&traced).unwrap();
-    assert_eq!(a, b, "tracing must never change checkpoint bytes");
-    let stats = load_trace(&trace).expect("the written trace must validate");
-    assert!(
-        stats.spans.contains_key("journal/compact"),
-        "mid-run compactions must be traced: {:?}",
-        stats.spans.keys().collect::<Vec<_>>()
-    );
 }
 
 #[test]

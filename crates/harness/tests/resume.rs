@@ -228,6 +228,10 @@ fn retired_persistence_flags_are_unknown() {
         &["run", "--telemetry"],
         &["shard", "--telemetry"],
         &["gc", "--max-age-days", "30"],
+        &["run", "--compact-journal-over", "2"],
+        &["shard", "--compact-journal-over", "2"],
+        &["serve", "--compact-journal-over", "2"],
+        &["gc", "--max-cells", "5"],
     ] {
         let out = campaign_cmd(args).output().expect("campaign must spawn");
         assert_eq!(out.status.code(), Some(2), "{args:?}");

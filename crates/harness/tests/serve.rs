@@ -14,8 +14,6 @@
 //!   `merge` and stored `run`/`report`/`shard` campaigns (exit 2,
 //!   remediation named, store untouched); a dead daemon's stale lock is
 //!   reported and broken, never a permanent wedge.
-//! * **Mid-run compaction** — `--compact-journal-over` bounds the
-//!   journal without changing the final store bytes.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -73,21 +71,16 @@ struct Daemon {
 }
 
 impl Daemon {
-    /// Spawns `campaign serve --store <store> <extra...>` and waits for
-    /// the port file to announce the bound address.
-    fn spawn(dir: &TempDir, store: &std::path::Path, extra: &[&str]) -> Daemon {
+    /// Spawns `campaign serve --store <store>` and waits for the port
+    /// file to announce the bound address.
+    fn spawn(dir: &TempDir, store: &std::path::Path) -> Daemon {
         let port_file = dir.path("port");
         std::fs::remove_file(&port_file).ok();
-        let mut args = vec![
-            "serve".to_string(),
-            "--store".to_string(),
-            store.to_str().unwrap().to_string(),
-            "--port-file".to_string(),
-            port_file.to_str().unwrap().to_string(),
-        ];
-        args.extend(extra.iter().map(|s| s.to_string()));
         let child = Command::new(env!("CARGO_BIN_EXE_campaign"))
-            .args(&args)
+            .args(["serve", "--store"])
+            .arg(store)
+            .arg("--port-file")
+            .arg(&port_file)
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()
@@ -198,8 +191,8 @@ impl Client {
 
 /// The reference batch store: the same 2-scenario seed-42 campaign the
 /// serve tests submit over the wire.
-fn batch_reference(store: &std::path::Path, extra: &[&str]) {
-    let mut args = vec![
+fn batch_reference(store: &std::path::Path) {
+    run_ok(&[
         "run",
         "--scenario",
         SELECT[0],
@@ -210,16 +203,14 @@ fn batch_reference(store: &std::path::Path, extra: &[&str]) {
         "--quiet",
         "--store",
         store.to_str().unwrap(),
-    ];
-    args.extend_from_slice(extra);
-    run_ok(&args);
+    ]);
 }
 
 #[test]
 fn endpoints_roundtrip_and_submitted_store_matches_batch_bytes() {
     let dir = TempDir::new("endpoints");
     let served = dir.path("served.json");
-    let daemon = Daemon::spawn(&dir, &served, &[]);
+    let daemon = Daemon::spawn(&dir, &served);
     let mut client = daemon.connect();
 
     let pong = client.request("{\"op\":\"ping\"}");
@@ -280,7 +271,7 @@ fn endpoints_roundtrip_and_submitted_store_matches_batch_bytes() {
     // The daemon's final store is byte-identical to the batch run's —
     // same executor, same journal, same checkpoint writer.
     let batch = dir.path("batch.json");
-    batch_reference(&batch, &[]);
+    batch_reference(&batch);
     assert_eq!(
         std::fs::read(&served).unwrap(),
         std::fs::read(&batch).unwrap(),
@@ -295,8 +286,8 @@ fn endpoints_roundtrip_and_submitted_store_matches_batch_bytes() {
 fn torn_requests_and_eof_never_take_the_daemon_down() {
     let dir = TempDir::new("torn");
     let store = dir.path("store.json");
-    batch_reference(&store, &[]);
-    let daemon = Daemon::spawn(&dir, &store, &[]);
+    batch_reference(&store);
+    let daemon = Daemon::spawn(&dir, &store);
 
     // A half-written request followed by a hard disconnect.
     {
@@ -323,7 +314,7 @@ fn torn_requests_and_eof_never_take_the_daemon_down() {
 fn deeply_nested_request_is_refused_and_the_daemon_keeps_serving() {
     let dir = TempDir::new("nested");
     let store = dir.path("store.json");
-    let daemon = Daemon::spawn(&dir, &store, &[]);
+    let daemon = Daemon::spawn(&dir, &store);
     // Parsed on a connection thread's default-sized stack, where an
     // unbounded recursive descent used to abort the whole process.
     let nested = daemon.connect().request(&"[".repeat(100_000));
@@ -338,10 +329,10 @@ fn deeply_nested_request_is_refused_and_the_daemon_keeps_serving() {
 fn gc_and_merge_refuse_a_live_daemons_store() {
     let dir = TempDir::new("refuse");
     let store = dir.path("store.json");
-    batch_reference(&store, &[]);
+    batch_reference(&store);
     let other = dir.path("other.json");
-    batch_reference(&other, &[]);
-    let daemon = Daemon::spawn(&dir, &store, &[]);
+    batch_reference(&other);
+    let daemon = Daemon::spawn(&dir, &store);
 
     let gc = campaign(&["gc", "--store", store.to_str().unwrap()]);
     assert_eq!(gc.status.code(), Some(2), "gc must refuse a live store");
@@ -386,7 +377,7 @@ fn gc_and_merge_refuse_a_live_daemons_store() {
 fn stored_runs_refuse_a_live_daemons_store() {
     let dir = TempDir::new("refuse-run");
     let store = dir.path("store.json");
-    batch_reference(&store, &[]);
+    batch_reference(&store);
     let manifest = dir.path("manifest.json");
     run_ok(&[
         "plan",
@@ -399,7 +390,7 @@ fn stored_runs_refuse_a_live_daemons_store() {
         "--manifest",
         manifest.to_str().unwrap(),
     ]);
-    let daemon = Daemon::spawn(&dir, &store, &[]);
+    let daemon = Daemon::spawn(&dir, &store);
     let before = std::fs::read(&store).unwrap();
 
     // Every stored campaign journals into and checkpoints its store: on
@@ -460,7 +451,7 @@ fn stored_runs_refuse_a_live_daemons_store() {
 fn stale_locks_are_reported_and_broken_never_a_wedge() {
     let dir = TempDir::new("stale");
     let store = dir.path("store.json");
-    batch_reference(&store, &[]);
+    batch_reference(&store);
     // A lock left behind by a dead process: /proc/<pid> cannot exist
     // for a pid this large.
     std::fs::write(
@@ -481,7 +472,7 @@ fn stale_locks_are_reported_and_broken_never_a_wedge() {
     assert!(note.contains("4000000000"), "{note}");
 
     // A new daemon breaks the stale lock, reports it, and serves.
-    let daemon = Daemon::spawn(&dir, &store, &[]);
+    let daemon = Daemon::spawn(&dir, &store);
     let mut client = daemon.connect();
     let pong = client.request("{\"op\":\"ping\"}");
     assert!(pong.contains("\"pong\":true"), "{pong}");
@@ -495,62 +486,11 @@ fn stale_locks_are_reported_and_broken_never_a_wedge() {
 }
 
 #[test]
-fn mid_run_compaction_bounds_the_journal_without_changing_bytes() {
-    let dir = TempDir::new("compact");
-    let plain = dir.path("plain.json");
-    let compacted = dir.path("compacted.json");
-    batch_reference(&plain, &[]);
-    let stdout_text = {
-        let mut args = vec![
-            "run",
-            "--scenario",
-            SELECT[0],
-            "--scenario",
-            SELECT[1],
-            "--seed",
-            "42",
-            "--store",
-            compacted.to_str().unwrap(),
-            "--compact-journal-over",
-            "2",
-        ];
-        args.push("--quiet");
-        let out = campaign(&args);
-        assert!(out.status.success());
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
-    // 8 cells against a 2-line threshold: compactions must have fired.
-    // (--quiet mutes the note; the bytes are the contract.)
-    let _ = stdout_text;
-    assert_eq!(
-        std::fs::read(&plain).unwrap(),
-        std::fs::read(&compacted).unwrap(),
-        "mid-run compaction must not change the final store bytes"
-    );
-    assert!(!dir.path("compacted.json.journal").exists());
-
-    // The flag without a store (no journal to bound) is rejected.
-    let alone = campaign(&[
-        "run",
-        "--scenario",
-        SELECT[0],
-        "--compact-journal-over",
-        "2",
-    ]);
-    assert_eq!(alone.status.code(), Some(2));
-    assert!(
-        String::from_utf8_lossy(&alone.stderr).contains("needs --store"),
-        "{}",
-        String::from_utf8_lossy(&alone.stderr)
-    );
-}
-
-#[test]
 fn metrics_scrape_counts_requests_exactly() {
     let dir = TempDir::new("metrics");
     let store = dir.path("store.json");
-    batch_reference(&store, &[]);
-    let daemon = Daemon::spawn(&dir, &store, &[]);
+    batch_reference(&store);
+    let daemon = Daemon::spawn(&dir, &store);
     let mut client = daemon.connect();
 
     // A deliberate mix: 3 pings, 4 queries, 1 range, 1 report, 2 stats.
@@ -621,7 +561,7 @@ fn metrics_scrape_counts_requests_exactly() {
 fn top_once_renders_requests_and_job_progress() {
     let dir = TempDir::new("top");
     let served = dir.path("served.json");
-    let daemon = Daemon::spawn(&dir, &served, &[]);
+    let daemon = Daemon::spawn(&dir, &served);
     let mut client = daemon.connect();
     let submit = client.request(&format!(
         "{{\"op\":\"submit\",\"scenarios\":[\"{}\",\"{}\"],\"seed\":42}}",
@@ -659,26 +599,4 @@ fn top_once_renders_requests_and_job_progress() {
         String::from_utf8_lossy(&both.stderr)
     );
     daemon.shutdown();
-}
-
-#[test]
-fn serve_compaction_keeps_submitted_store_byte_identical() {
-    let dir = TempDir::new("serve-compact");
-    let served = dir.path("served.json");
-    let daemon = Daemon::spawn(&dir, &served, &["--compact-journal-over", "2"]);
-    let mut client = daemon.connect();
-    let submit = client.request(&format!(
-        "{{\"op\":\"submit\",\"scenarios\":[\"{}\",\"{}\"],\"seed\":42}}",
-        SELECT[0], SELECT[1]
-    ));
-    assert!(submit.contains("\"ok\":true"), "{submit}");
-    client.await_stats("\"done\":1");
-    daemon.shutdown();
-    let batch = dir.path("batch.json");
-    batch_reference(&batch, &[]);
-    assert_eq!(
-        std::fs::read(&served).unwrap(),
-        std::fs::read(&batch).unwrap(),
-        "a compacting daemon's store must stay byte-identical to the batch run"
-    );
 }

@@ -55,7 +55,6 @@ fn journal() -> &'static [u8] {
                 campaign
             })
             .unwrap()
-            .outcome
             .unwrap();
         std::fs::remove_dir_all(&dir).ok();
         journal

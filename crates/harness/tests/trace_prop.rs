@@ -54,7 +54,6 @@ fn trace() -> &'static [u8] {
                 )
             })
             .unwrap()
-            .outcome
             .unwrap();
         obs.finish_trace().unwrap();
         let bytes = std::fs::read(&path).unwrap();
